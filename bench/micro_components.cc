@@ -3,9 +3,9 @@
  * Component micro-benchmarks (google-benchmark): host-side
  * throughput of the structures CHEx86 adds — capability-table
  * checks, capability-cache lookups, the alias table and its walker,
- * the alias predictor, the rule engine, the decoder, and the
- * simulated allocator. These gate simulator performance and document
- * the cost of each model.
+ * the alias predictor, the register PID tags, the rule engine, the
+ * decoder, and the simulated allocator. These gate simulator
+ * performance and document the cost of each model.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "isa/decoder.hh"
 #include "mem/alias_table.hh"
 #include "tracker/alias_predictor.hh"
+#include "tracker/reg_tags.hh"
 #include "tracker/rules.hh"
 
 using namespace chex;
@@ -109,6 +110,23 @@ BM_AliasPredictor(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AliasPredictor);
+
+void
+BM_RegTagsCommit(benchmark::State &state)
+{
+    // The step loop's pattern: one tag write per micro-op across 16
+    // registers, then commit everything older than 64 micro-ops.
+    RegTagFile tags;
+    uint64_t seq = 0;
+    for (auto _ : state) {
+        ++seq;
+        tags.write(static_cast<RegId>(seq % 16),
+                   static_cast<Pid>(1 + seq % 64), seq);
+        tags.commitUpTo(seq > 64 ? seq - 64 : 0);
+    }
+    benchmark::DoNotOptimize(tags.current(RAX));
+}
+BENCHMARK(BM_RegTagsCommit);
 
 void
 BM_RulePropagate(benchmark::State &state)

@@ -82,14 +82,15 @@ class ResourceCalendar
     {
         if (!v.isObject())
             return false;
+        const json::Value *jb = v.find("base");
         const json::Value *ju = v.find("used");
         std::vector<uint8_t> bytes;
-        if (!ju || !ju->isString() || !base64Decode(ju->str(), bytes) ||
-            bytes.size() != used.size()) {
+        if (!jb || !jb->isNumber() || !ju || !ju->isString() ||
+            !base64Decode(ju->str(), bytes) || bytes.size() != used.size()) {
             return false;
         }
         used = std::move(bytes);
-        base = json::getUint(v, "base", 0);
+        base = jb->asUint64();
         return true;
     }
     /** @} */
@@ -185,12 +186,18 @@ class OccupancyWindow
     {
         if (!v.isObject())
             return false;
+        const json::Value *jh = v.find("head");
         const json::Value *jr = v.find("release");
-        if (!jr || !jr->isArray() || jr->size() != releaseCycles.size())
+        if (!jh || !jh->isNumber() || !jr || !jr->isArray() ||
+            jr->size() != releaseCycles.size()) {
             return false;
+        }
+        for (const json::Value &c : jr->items())
+            if (!c.isNumber())
+                return false;
         for (size_t i = 0; i < releaseCycles.size(); ++i)
             releaseCycles[i] = jr->at(i).asUint64();
-        head = json::getUint(v, "head", 0);
+        head = jh->asUint64();
         // Snapshots store the monotone allocation count; rebuild the
         // wrapped index so old snapshots restore correctly.
         headIdx = static_cast<unsigned>(head % cap);

@@ -1,106 +1,135 @@
 #include "reg_tags.hh"
 
-#include <bit>
+#include <algorithm>
+#include <limits>
 
 #include "base/logging.hh"
 
 namespace chex
 {
 
-RegTagFile::RegTagFile() = default;
+namespace
+{
+
+// The step loop keeps ~64 writes in flight; the first write allocates
+// just above that, so the ring never grows again in a normal run and
+// variants that never write a tag never allocate it.
+constexpr size_t InitialLogSize = 128;
+
+/** Parse @p j as a 32-bit PID; false when absent, mistyped or wider. */
+bool
+readPid(const json::Value *j, Pid *out)
+{
+    if (!j || !j->isNumber())
+        return false;
+    uint64_t v = j->asUint64();
+    if (v > std::numeric_limits<Pid>::max())
+        return false;
+    *out = static_cast<Pid>(v);
+    return true;
+}
+
+} // namespace
+
+RegTagFile::RegTagFile()
+{
+    clear();
+}
 
 Pid
 RegTagFile::current(RegId reg) const
 {
     chex_assert(reg < NumArchRegs, "bad register");
-    const RegTag &t = tags[reg];
-    if (!t.transients.empty())
-        return t.transients.back().pid;
-    return t.finalized;
+    return cur[reg];
 }
 
 Pid
 RegTagFile::committed(RegId reg) const
 {
     chex_assert(reg < NumArchRegs, "bad register");
-    return tags[reg].finalized;
+    return fin[reg];
 }
 
 void
 RegTagFile::write(RegId reg, Pid pid, uint64_t seq)
 {
     chex_assert(reg < NumArchRegs, "bad register");
-    RegTag &t = tags[reg];
-    chex_assert(t.transients.empty() || t.transients.back().seq < seq,
-                "out-of-order transient write");
-    t.transients.push_back({seq, pid});
-    nonEmpty |= 1ull << reg;
+    if (count) {
+        // Global order: the log stays sorted by seq.
+        chex_assert(at(count - 1).seq <= seq, "out-of-order tag write");
+        // Per register: strictly ascending, so only writes at this
+        // same seq can collide.
+        for (size_t i = count; i-- > 0 && at(i).seq == seq;)
+            chex_assert(at(i).reg != reg, "out-of-order transient write");
+    }
+    if (count == log.size())
+        grow();
+    log[(head + count) & mask] = {seq, pid, cur[reg], reg};
+    ++count;
+    cur[reg] = pid;
+}
+
+void
+RegTagFile::grow()
+{
+    std::vector<LogEntry> bigger(log.empty() ? InitialLogSize
+                                             : log.size() * 2);
+    for (size_t i = 0; i < count; ++i)
+        bigger[i] = at(i);
+    log = std::move(bigger);
+    mask = log.size() - 1;
+    head = 0;
 }
 
 void
 RegTagFile::commitUpTo(uint64_t seq)
 {
-    for (uint64_t m = nonEmpty; m; m &= m - 1) {
-        RegTag &t = tags[std::countr_zero(m)];
-        size_t n = 0;
-        while (n < t.transients.size() && t.transients[n].seq <= seq)
-            ++n;
-        if (n > 0) {
-            t.finalized = t.transients[n - 1].pid;
-            t.transients.erase(t.transients.begin(),
-                               t.transients.begin() + n);
-            if (t.transients.empty())
-                nonEmpty &= ~(1ull << std::countr_zero(m));
-        }
+    while (count && log[head].seq <= seq) {
+        const LogEntry &e = log[head];
+        fin[e.reg] = e.pid;
+        head = (head + 1) & mask;
+        --count;
     }
 }
 
 void
 RegTagFile::squashAfter(uint64_t seq)
 {
-    for (uint64_t m = nonEmpty; m; m &= m - 1) {
-        RegTag &t = tags[std::countr_zero(m)];
-        while (!t.transients.empty() && t.transients.back().seq > seq)
-            t.transients.pop_back();
-        if (t.transients.empty())
-            nonEmpty &= ~(1ull << std::countr_zero(m));
+    // A popped entry's prev is the register's youngest surviving tag:
+    // the transient before it if still in flight, else the finalized
+    // PID, which no younger write can have changed.
+    while (count && at(count - 1).seq > seq) {
+        const LogEntry &e = at(count - 1);
+        cur[e.reg] = e.prev;
+        --count;
     }
-}
-
-size_t
-RegTagFile::transientCount() const
-{
-    size_t n = 0;
-    for (uint64_t m = nonEmpty; m; m &= m - 1)
-        n += tags[std::countr_zero(m)].transients.size();
-    return n;
 }
 
 void
 RegTagFile::clear()
 {
-    for (auto &t : tags) {
-        t.finalized = NoPid;
-        t.transients.clear();
-    }
-    nonEmpty = 0;
+    std::fill(std::begin(cur), std::end(cur), NoPid);
+    std::fill(std::begin(fin), std::end(fin), NoPid);
+    head = 0;
+    count = 0;
 }
 
 json::Value
 RegTagFile::saveState() const
 {
+    std::vector<json::Value> transients(NumArchRegs, json::Value::array());
+    for (size_t i = 0; i < count; ++i) {
+        const LogEntry &e = at(i);
+        json::Value pair = json::Value::array();
+        pair.push(e.seq);
+        pair.push(e.pid);
+        transients[e.reg].push(std::move(pair));
+    }
     json::Value out = json::Value::array();
-    for (const RegTag &t : tags) {
+    for (size_t r = 0; r < NumArchRegs; ++r) {
         json::Value jt = json::Value::object();
-        jt.set("finalized", t.finalized);
-        json::Value jtr = json::Value::array();
-        for (const TransientTag &tt : t.transients) {
-            json::Value pair = json::Value::array();
-            pair.push(tt.seq);
-            pair.push(tt.pid);
-            jtr.push(std::move(pair));
-        }
-        jt.set("transients", std::move(jtr));
+        jt.set("finalized", fin[r]);
+        jt.set("transients", std::move(transients[r]));
         out.push(std::move(jt));
     }
     return out;
@@ -111,28 +140,42 @@ RegTagFile::restoreState(const json::Value &v)
 {
     if (!v.isArray() || v.size() != NumArchRegs)
         return false;
-    nonEmpty = 0;
+    Pid finalized[NumArchRegs];
+    std::vector<LogEntry> entries;
     for (size_t r = 0; r < NumArchRegs; ++r) {
         const json::Value &jt = v.at(r);
-        if (!jt.isObject())
+        if (!jt.isObject() || !readPid(jt.find("finalized"), &finalized[r]))
             return false;
         const json::Value *jtr = jt.find("transients");
         if (!jtr || !jtr->isArray())
             return false;
-        RegTag &t = tags[r];
-        t.finalized =
-            static_cast<Pid>(json::getUint(jt, "finalized", NoPid));
-        t.transients.clear();
-        for (const json::Value &pair : jtr->items()) {
-            if (!pair.isArray() || pair.size() != 2)
+        for (size_t i = 0; i < jtr->size(); ++i) {
+            const json::Value &pair = jtr->at(i);
+            if (!pair.isArray() || pair.size() != 2 ||
+                !pair.at(size_t(0)).isNumber()) {
                 return false;
-            t.transients.push_back(
-                {pair.at(size_t(0)).asUint64(),
-                 static_cast<Pid>(pair.at(size_t(1)).asUint64())});
+            }
+            LogEntry e{pair.at(size_t(0)).asUint64(), NoPid, NoPid,
+                       static_cast<RegId>(r)};
+            if (!readPid(&pair.at(size_t(1)), &e.pid) ||
+                (i > 0 && e.seq <= entries.back().seq)) {
+                return false;
+            }
+            entries.push_back(e);
         }
-        if (!t.transients.empty())
-            nonEmpty |= 1ull << r;
     }
+
+    // Merge the per-register lists into one seq-ordered log; replaying
+    // them through write() rebuilds cur[] and each entry's prev.
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const LogEntry &a, const LogEntry &b) {
+                         return a.seq < b.seq;
+                     });
+    clear();
+    std::copy(std::begin(finalized), std::end(finalized), fin);
+    std::copy(std::begin(finalized), std::end(finalized), cur);
+    for (const LogEntry &e : entries)
+        write(e.reg, e.pid, e.seq);
     return true;
 }
 

@@ -2,11 +2,18 @@
  * @file
  * Speculative register PID tags (Section V-D): each architectural
  * register carries (1) the finalized PID propagated by the last
- * committed instruction and (2) a vector of transient PIDs written
- * by in-flight instructions, ordered by sequence number. Reads
- * return the youngest transient tag (the fetch stage runs ahead of
- * the pipe); squashes discard all transient tags younger than the
- * offending instruction; commits fold tags into the finalized field.
+ * committed instruction and (2) the transient PIDs written by
+ * in-flight instructions. Reads return the youngest transient tag
+ * (the fetch stage runs ahead of the pipe); squashes discard every
+ * transient tag younger than the offending instruction; commits fold
+ * the oldest tags into the finalized field.
+ *
+ * Like a ROB, the transients of all registers live in one write log
+ * in ascending sequence-number order (writes arrive in program
+ * order). Each log entry remembers the register's tag before the
+ * write, so commit pops the front into fin[], squash pops the back
+ * and restores cur[] from it, and both reads are one array load:
+ * every operation is O(1) amortised, with no per-register scan.
  */
 
 #ifndef CHEX_TRACKER_REG_TAGS_HH
@@ -14,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "base/json.hh"
@@ -36,7 +42,11 @@ class RegTagFile
     /** Finalized (committed) PID tag of @p reg. */
     Pid committed(RegId reg) const;
 
-    /** Record a transient write of @p pid to @p reg at @p seq. */
+    /**
+     * Record a transient write of @p pid to @p reg at @p seq. Writes
+     * must arrive in non-decreasing @p seq order, and strictly
+     * increasing per register.
+     */
     void write(RegId reg, Pid pid, uint64_t seq);
 
     /** Commit every transient write with sequence number <= @p seq. */
@@ -46,38 +56,44 @@ class RegTagFile
     void squashAfter(uint64_t seq);
 
     /** Total transient entries currently held (for tests). */
-    size_t transientCount() const;
+    size_t transientCount() const { return count; }
 
     /** Reset to all-zero tags. */
     void clear();
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
+    /**
+     * @{ @name Snapshot serialization (chex-snapshot-v1)
+     * One object per register: `finalized` plus its transients as
+     * ascending `[seq, pid]` pairs. Restore rejects (and leaves the
+     * file unchanged on) a missing or mistyped field or a register
+     * whose transients are not strictly ascending in seq.
+     */
     json::Value saveState() const;
     bool restoreState(const json::Value &v);
     /** @} */
 
   private:
-    struct TransientTag
+    struct LogEntry
     {
         uint64_t seq;
         Pid pid;
-    };
-    struct RegTag
-    {
-        Pid finalized = NoPid;
-        std::vector<TransientTag> transients; // ascending seq
+        Pid prev; // cur[reg] before this write; restored on squash
+        RegId reg;
     };
 
-    RegTag tags[NumArchRegs];
+    /** The @p i-th oldest in-flight write. */
+    const LogEntry &at(size_t i) const { return log[(head + i) & mask]; }
+    void grow();
 
-    // Bit r set iff tags[r].transients is nonempty. commitUpTo()
-    // runs once per micro-op and almost every register has no
-    // in-flight writes, so the walk visits only set bits instead of
-    // scanning all NumArchRegs vectors (NumArchRegs <= 64 by the
-    // static_assert in regs.hh usage here).
-    uint64_t nonEmpty = 0;
+    Pid cur[NumArchRegs]; // youngest tag: current()
+    Pid fin[NumArchRegs]; // finalized tag: committed()
 
-    static_assert(NumArchRegs <= 64, "nonEmpty bitmask too narrow");
+    // Power-of-two ring of in-flight writes, oldest at head; empty
+    // until the first write.
+    std::vector<LogEntry> log;
+    size_t mask = 0;
+    size_t head = 0;
+    size_t count = 0;
 };
 
 } // namespace chex

@@ -2,12 +2,14 @@
  * @file
  * Timing-core tests: dataflow-limited latency, structural limits
  * (ROB/issue width), cache-latency exposure, branch-mispredict
- * redirects, zero-idiom handling, and alias-flush charging.
+ * redirects, zero-idiom handling, alias-flush charging, and strict
+ * snapshot restore of the resource calendars and occupancy windows.
  */
 
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
+#include "cpu/resource.hh"
 #include "isa/assembler.hh"
 #include "mem/hierarchy.hh"
 
@@ -252,6 +254,64 @@ TEST_F(CoreTest, IpcWithinPhysicalLimits)
     }
     EXPECT_GT(core.ipc(), 0.5);
     EXPECT_LE(core.ipc(), 6.0);
+}
+
+/** @p doc without member @p drop, or with it replaced by @p with. */
+json::Value
+editMember(const json::Value &doc, const std::string &drop,
+           const json::Value *with = nullptr)
+{
+    json::Value out = json::Value::object();
+    for (const auto &[key, val] : doc.members()) {
+        if (key != drop)
+            out.set(key, val);
+        else if (with)
+            out.set(key, *with);
+    }
+    return out;
+}
+
+TEST(ResourceCalendar, RestoreRoundTripsAndRejectsBadBase)
+{
+    ResourceCalendar cal(2, 16);
+    for (uint64_t c : {3, 3, 3, 40, 41})
+        cal.reserve(c);
+    json::Value doc = cal.saveState();
+    ResourceCalendar again(2, 16);
+    ASSERT_TRUE(again.restoreState(doc));
+    EXPECT_EQ(again.saveState().dump(), doc.dump());
+
+    json::Value str("26");
+    ResourceCalendar other(2, 16);
+    EXPECT_FALSE(other.restoreState(editMember(doc, "base")));
+    EXPECT_FALSE(other.restoreState(editMember(doc, "base", &str)));
+    EXPECT_EQ(other.saveState().dump(), ResourceCalendar(2, 16)
+                                            .saveState()
+                                            .dump());
+}
+
+TEST(OccupancyWindow, RestoreRoundTripsAndRejectsBadHead)
+{
+    OccupancyWindow win(5);
+    for (uint64_t c = 1; c <= 7; ++c)
+        win.push(c * 10);
+    json::Value doc = win.saveState();
+    OccupancyWindow again(5);
+    ASSERT_TRUE(again.restoreState(doc));
+    EXPECT_EQ(again.saveState().dump(), doc.dump());
+    EXPECT_EQ(again.allocBound(), win.allocBound());
+
+    json::Value str("7");
+    json::Value bad_release = json::Value::array();
+    for (int i = 0; i < 5; ++i)
+        bad_release.push(i == 2 ? json::Value("x") : json::Value(1));
+    OccupancyWindow other(5);
+    EXPECT_FALSE(other.restoreState(editMember(doc, "head")));
+    EXPECT_FALSE(other.restoreState(editMember(doc, "head", &str)));
+    EXPECT_FALSE(
+        other.restoreState(editMember(doc, "release", &bad_release)));
+    EXPECT_EQ(other.saveState().dump(),
+              OccupancyWindow(5).saveState().dump());
 }
 
 } // namespace
