@@ -12,8 +12,9 @@
  * shows up as the 1M row collapsing relative to the 10K row, or as
  * endShadowBytes drifting above the live-set floor.
  *
- * Methodology mirrors cap_scale: every row runs REPS times from a
- * fresh table (best-of-N wall clock); the op stream is a fixed-seed
+ * Methodology mirrors cap_scale (the live targets, best-of-3 wall
+ * clock, rep checks and the record itself live in scale_bench.hh):
+ * every rep starts from a fresh table; the op stream is a fixed-seed
  * mix of pointer spills (set), reloads through the page filter +
  * walker (pageHostsAliases/get/walk), data-store overwrite kills
  * (set 0, exercising node reclamation), and page-churn arena drops.
@@ -28,60 +29,30 @@
  * seed, so bench-compare treats any drift in them as fatal while
  * wall-clock regressions only warn.
  *
- * Output: a chex-bench-aliasscale-v1 JSON document on stdout (so
- * `alias_scale > BENCH_aliasscale.json` commits cleanly); the
- * human-readable table goes to stderr.
+ * Output: a chex-bench-aliasscale-v1 JSON document on stdout.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <vector>
 
-#include "base/json.hh"
 #include "base/random.hh"
-#include "common.hh"
 #include "mem/alias_table.hh"
+#include "scale_bench.hh"
 
 using namespace chex;
 
 namespace
 {
 
-constexpr uint64_t Seed = 1;
-constexpr int Reps = 3;
-
-struct RowResult
-{
-    uint64_t liveTarget = 0;
-    uint64_t ops = 0;            // alias-table operations executed
-    uint64_t liveEntries = 0;    // live aliases at the end of churn
-    uint64_t peakShadowBytes = 0;
-    uint64_t endShadowBytes = 0; // after churn — reclamation floor
-    uint64_t liveNodes = 0;
-    uint64_t pooledNodes = 0;
-    uint64_t checksum = 0;
-    double bestWallSeconds = 0.0;
-    double opsPerSecond = 0.0;
-};
-
-uint64_t
-mix(uint64_t h, uint64_t v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h;
-}
+using bench::mix;
 
 /** One full rep: ramp to @p live_target live words, then churn. */
-RowResult
-runRep(uint64_t live_target, uint64_t churn_ops)
+bench::ScaleRep
+runRep(uint64_t seed, uint64_t live_target, uint64_t churn_ops)
 {
-    RowResult row;
-    row.liveTarget = live_target;
-
     AliasTable table;
-    Random rng(Seed ^ (live_target * 0x9e3779b97f4a7c15ull));
+    Random rng(seed ^ (live_target * 0x9e3779b97f4a7c15ull));
 
     // Live spilled words, oldest first; swap-remove on kill.
     std::vector<uint64_t> live;
@@ -210,16 +181,14 @@ runRep(uint64_t live_target, uint64_t churn_ops)
 
     auto t1 = std::chrono::steady_clock::now();
 
-    row.ops = ops;
-    row.liveEntries = table.liveEntries();
-    row.peakShadowBytes = peak;
-    row.endShadowBytes = table.storageBytes();
-    row.liveNodes = table.liveNodes();
-    row.pooledNodes = table.pooledNodes();
-    row.checksum = checksum;
-    row.bestWallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    return row;
+    return {ops,
+            {{"liveEntries", table.liveEntries()},
+             {"peakShadowBytes", peak},
+             {"endShadowBytes", table.storageBytes()},
+             {"liveNodes", table.liveNodes()},
+             {"pooledNodes", table.pooledNodes()},
+             {"checksum", checksum}},
+            std::chrono::duration<double>(t1 - t0).count()};
 }
 
 } // namespace
@@ -227,70 +196,6 @@ runRep(uint64_t live_target, uint64_t churn_ops)
 int
 main()
 {
-    const uint64_t scale = bench::scale();
-    const uint64_t churn_ops =
-        std::max<uint64_t>(100000, 2000000 / std::max<uint64_t>(
-                                                 1, scale));
-    const std::vector<uint64_t> targets = {10000, 100000, 1000000};
-
-    json::Value doc = json::Value::object();
-    doc.set("schema", "chex-bench-aliasscale-v1");
-    doc.set("seed", Seed);
-    doc.set("scale", scale);
-    doc.set("reps", static_cast<uint64_t>(Reps));
-    doc.set("churnOps", churn_ops);
-
-    std::fprintf(stderr, "%-12s %12s %12s %16s %16s %10s %14s\n",
-                 "live", "table ops", "live entries", "peak shadow B",
-                 "end shadow B", "best s", "ops/s");
-
-    json::Value rows = json::Value::array();
-    for (uint64_t target : targets) {
-        RowResult best{};
-        for (int rep = 0; rep < Reps; ++rep) {
-            RowResult r = runRep(target, churn_ops);
-            // Structural outputs must not depend on the rep.
-            if (rep != 0 &&
-                (r.ops != best.ops || r.checksum != best.checksum)) {
-                std::fprintf(stderr,
-                             "alias_scale: nondeterministic rep at "
-                             "live=%llu\n",
-                             static_cast<unsigned long long>(target));
-                return 1;
-            }
-            if (rep == 0 || r.bestWallSeconds < best.bestWallSeconds)
-                best = r;
-        }
-        best.opsPerSecond =
-            best.bestWallSeconds > 0.0
-                ? static_cast<double>(best.ops) / best.bestWallSeconds
-                : 0.0;
-
-        std::fprintf(
-            stderr,
-            "%-12llu %12llu %12llu %16llu %16llu %10.4f %14.0f\n",
-            static_cast<unsigned long long>(target),
-            static_cast<unsigned long long>(best.ops),
-            static_cast<unsigned long long>(best.liveEntries),
-            static_cast<unsigned long long>(best.peakShadowBytes),
-            static_cast<unsigned long long>(best.endShadowBytes),
-            best.bestWallSeconds, best.opsPerSecond);
-
-        json::Value row = json::Value::object();
-        row.set("liveTarget", best.liveTarget);
-        row.set("ops", best.ops);
-        row.set("liveEntries", best.liveEntries);
-        row.set("peakShadowBytes", best.peakShadowBytes);
-        row.set("endShadowBytes", best.endShadowBytes);
-        row.set("liveNodes", best.liveNodes);
-        row.set("pooledNodes", best.pooledNodes);
-        row.set("checksum", best.checksum);
-        row.set("bestWallSeconds", best.bestWallSeconds);
-        row.set("opsPerSecond", best.opsPerSecond);
-        rows.push(std::move(row));
-    }
-    doc.set("rows", std::move(rows));
-
-    std::printf("%s\n", doc.dump(2).c_str());
-    return 0;
+    return bench::runScaleBench("alias_scale", "chex-bench-aliasscale-v1",
+                                runRep);
 }

@@ -239,7 +239,6 @@ executeJob(const JobSpec &spec, size_t index,
                 jr.failed = false;
                 jr.error.clear();
                 jr.cause = FailureCause::None;
-                jr.exitStatus = 0;
                 jr.exitCode = 0;
                 jr.termSignal = 0;
                 return jr;
@@ -247,7 +246,6 @@ executeJob(const JobSpec &spec, size_t index,
             jr.failed = true;
             jr.cause = out.cause;
             jr.error = out.error;
-            jr.exitStatus = out.exitStatus;
             jr.exitCode = out.exitCode;
             jr.termSignal = out.termSignal;
             continue;
@@ -308,7 +306,7 @@ runCampaign(const std::vector<JobSpec> &jobs,
     // Result-cache index over the prior reports: specHash -> prior
     // successful job. Failed/timed-out prior jobs never enter the
     // index (their point must re-run), and specHash 0 marks
-    // uncacheable entries (body overrides, pre-v3 reports). The
+    // uncacheable entries (body overrides). The
     // first occurrence wins when reports overlap.
     std::unordered_map<uint64_t, const JobResult *> cache;
     for (const CampaignReport &prior : opts.cacheReports)

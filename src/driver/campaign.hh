@@ -192,16 +192,6 @@ struct JobResult
     /** Structured failure classification (None when !failed). */
     FailureCause cause = FailureCause::None;
 
-    /**
-     * Isolated mode: the child's exit code (cause NonzeroExit) or
-     * terminating/killing signal number (cause Signal / Timeout) of
-     * the final attempt. 0 otherwise. Kept for v1/v2 report
-     * compatibility; prefer the unambiguous exitCode/termSignal
-     * split below (a v2 report cannot distinguish a child that the
-     * watchdog SIGKILLed from one that exited with code 9).
-     */
-    int exitStatus = 0;
-
     /** Child exit code of the final attempt (cause NonzeroExit). */
     int exitCode = 0;
 
@@ -289,8 +279,7 @@ struct CampaignOptions
      * Result cache: prior campaign reports (typically loaded from
      * disk via driver::fromJson). A job whose (specHash, seed)
      * matches a successful prior job is satisfied from the cache
-     * without simulating. Only schema-v3+ reports carry spec hashes;
-     * older reports load fine but yield no hits.
+     * without simulating.
      */
     std::vector<CampaignReport> cacheReports;
 

@@ -74,7 +74,7 @@ toJson(const RunResult &r)
         .set("totalAllocations", r.totalAllocations)
         .set("maxLiveAllocations", r.maxLiveAllocations)
         .set("avgAllocationsInUse", r.avgAllocationsInUse)
-        // Attack-job indicator (new in v6; always false elsewhere)
+        // Attack-job indicator (always false outside attack jobs)
         .set("indicatorChecked", r.indicatorChecked)
         .set("indicatorFired", r.indicatorFired);
 }
@@ -105,7 +105,7 @@ toJson(const JobResult &jr)
                           .set("wallSeconds", jr.wallSeconds)
                           .set("attemptSeconds",
                                std::move(attempt_seconds));
-    // Attack jobs only (new in v6): workload rows keep their shape.
+    // Attack jobs only: workload rows keep their shape.
     if (!jr.attack.empty())
         job.set("attack", jr.attack);
     if (jr.skipped) {
@@ -113,10 +113,6 @@ toJson(const JobResult &jr)
     } else if (jr.failed) {
         job.set("error", jr.error)
             .set("cause", failureCauseName(jr.cause))
-            // exitStatus is the legacy conflated field (kept so v2
-            // consumers keep working); exitCode/signal disambiguate
-            // a watchdog SIGKILL from an exit with code 9.
-            .set("exitStatus", jr.exitStatus)
             .set("exitCode", jr.exitCode)
             .set("signal", jr.termSignal);
     } else {
@@ -177,6 +173,68 @@ failParse(std::string *err, const char *what)
         *err = csprintf("report: %s", what);
     return false;
 }
+
+/**
+ * Member @p key of @p obj when it is present with @p kind; otherwise
+ * nullptr, with @p err naming the missing or mistyped member.
+ */
+const json::Value *
+member(const json::Value &obj, const char *key, json::Value::Kind kind,
+       std::string *err)
+{
+    const json::Value *m = obj.find(key);
+    if (m && m->kind() == kind)
+        return m;
+    if (err)
+        *err = csprintf("report: member '%s' is %s", key,
+                        m ? "mistyped" : "missing");
+    return nullptr;
+}
+
+/** @{ Read a required member into @p out; false (with @p err) if not. */
+bool
+require(const json::Value &obj, const char *key, bool &out,
+        std::string *err)
+{
+    const json::Value *m = member(obj, key, json::Value::Kind::Bool, err);
+    if (m)
+        out = m->boolean();
+    return m != nullptr;
+}
+
+bool
+require(const json::Value &obj, const char *key, std::string &out,
+        std::string *err)
+{
+    const json::Value *m =
+        member(obj, key, json::Value::Kind::String, err);
+    if (m)
+        out = m->str();
+    return m != nullptr;
+}
+
+bool
+require(const json::Value &obj, const char *key, int &out,
+        std::string *err)
+{
+    const json::Value *m =
+        member(obj, key, json::Value::Kind::Number, err);
+    if (m)
+        out = static_cast<int>(m->number());
+    return m != nullptr;
+}
+
+bool
+require(const json::Value &obj, const char *key, unsigned &out,
+        std::string *err)
+{
+    const json::Value *m =
+        member(obj, key, json::Value::Kind::Number, err);
+    if (m)
+        out = static_cast<unsigned>(m->asUint64());
+    return m != nullptr;
+}
+/** @} */
 
 Violation
 violationFromName(const std::string &name)
@@ -271,7 +329,7 @@ fromJson(const json::Value &v, RunResult &out, std::string *err)
     out.maxLiveAllocations = json::getUint(v, "maxLiveAllocations", 0);
     out.avgAllocationsInUse =
         json::getDouble(v, "avgAllocationsInUse", 0.0);
-    // Attack-job indicator: new in v6, absent (false) before.
+    // Attack-job indicator: false outside attack jobs.
     out.indicatorChecked = json::getBool(v, "indicatorChecked", false);
     out.indicatorFired = json::getBool(v, "indicatorFired", false);
     return true;
@@ -290,21 +348,20 @@ fromJson(const json::Value &v, JobResult &out, std::string *err)
     out.seed = json::getUint(v, "seed", 0);
     out.repetition =
         static_cast<unsigned>(json::getUint(v, "repetition", 0));
-    // Attack-case ID: new in v6, absent (workload job) before.
+    // Attack-case ID: absent on workload jobs.
     out.attack = json::getString(v, "attack", "");
-    // v1/v2 jobs carry no hash: they parse with specHash 0, which
-    // never matches a computed hash, so pre-v3 reports load cleanly
-    // as cache sources but yield no hits.
-    out.specHash =
-        specHashFromHex(json::getString(v, "specHash", ""));
-    out.cached = json::getBool(v, "cached", false);
-    // New in v5; pre-v5 jobs all ran from scratch.
-    out.fromSnapshot = json::getBool(v, "fromSnapshot", false);
-    std::string status = json::getString(v, "status", "ok");
+    std::string spec_hash, status;
+    if (!require(v, "specHash", spec_hash, err) ||
+        !require(v, "cached", out.cached, err) ||
+        !require(v, "fromSnapshot", out.fromSnapshot, err) ||
+        !require(v, "status", status, err)) {
+        return false;
+    }
+    out.specHash = specHashFromHex(spec_hash);
     out.failed = status == "failed";
-    // "skipped" is new in v4; pre-v4 reports never carry it, so
-    // their jobs all parse as provided (skipped = false).
     out.skipped = status == "skipped";
+    if (!out.failed && !out.skipped && status != "ok")
+        return failParse(err, "unknown job 'status'");
     out.attempts =
         static_cast<unsigned>(json::getUint(v, "attempts", 1));
     out.wallSeconds = json::getDouble(v, "wallSeconds", 0.0);
@@ -317,27 +374,13 @@ fromJson(const json::Value &v, JobResult &out, std::string *err)
     }
     if (out.failed) {
         out.error = json::getString(v, "error", "");
-        // v1 has no `cause`: an exception was the only failure it
-        // could record, so that is the backfill default.
-        out.cause = failureCauseFromName(
-            json::getString(v, "cause", "exception"));
-        out.exitStatus = static_cast<int>(
-            json::getInt(v, "exitStatus", 0));
-        if (v.find("exitCode") || v.find("signal")) {
-            out.exitCode =
-                static_cast<int>(json::getInt(v, "exitCode", 0));
-            out.termSignal =
-                static_cast<int>(json::getInt(v, "signal", 0));
-        } else {
-            // v1/v2 conflate signal number and exit code in
-            // exitStatus; the cause says which one it was.
-            if (out.cause == FailureCause::Signal ||
-                out.cause == FailureCause::Timeout) {
-                out.termSignal = out.exitStatus;
-            } else {
-                out.exitCode = out.exitStatus;
-            }
+        std::string cause;
+        if (!require(v, "cause", cause, err) ||
+            !require(v, "exitCode", out.exitCode, err) ||
+            !require(v, "signal", out.termSignal, err)) {
+            return false;
         }
+        out.cause = failureCauseFromName(cause);
     } else if (const json::Value *res = v.find("result")) {
         if (!fromJson(*res, out.run, err))
             return false;
@@ -351,34 +394,24 @@ fromJson(const json::Value &v, CampaignReport &out, std::string *err)
     if (!v.isObject())
         return failParse(err, "report is not an object");
     std::string schema = json::getString(v, "schema", "");
-    if (schema != "chex-campaign-report-v1" &&
-        schema != "chex-campaign-report-v2" &&
-        schema != "chex-campaign-report-v3" &&
-        schema != "chex-campaign-report-v4" &&
-        schema != "chex-campaign-report-v5" &&
-        schema != "chex-campaign-report-v6") {
+    if (schema != "chex-campaign-report-v6") {
         return failParse(err, schema.empty()
                                   ? "missing schema tag"
-                                  : "unknown schema tag");
+                                  : "unknown schema tag (expected "
+                                    "chex-campaign-report-v6)");
     }
     out = CampaignReport();
     out.seed = json::getUint(v, "seed", 0);
     out.workers =
         static_cast<unsigned>(json::getUint(v, "workers", 0));
-    // Pre-v4 reports have no shard block: they are complete
-    // unsharded campaigns, i.e. shard 0 of 1.
-    if (const json::Value *shard = v.find("shard")) {
-        if (!shard->isObject())
-            return failParse(err, "'shard' is not an object");
-        out.shardIndex = static_cast<unsigned>(
-            json::getUint(*shard, "index", 0));
-        out.shardCount = static_cast<unsigned>(
-            json::getUint(*shard, "count", 1));
-        if (out.shardCount == 0 ||
-            out.shardIndex >= out.shardCount) {
-            return failParse(err, "'shard' index/count out of range");
-        }
+    const json::Value *shard =
+        member(v, "shard", json::Value::Kind::Object, err);
+    if (!shard || !require(*shard, "index", out.shardIndex, err) ||
+        !require(*shard, "count", out.shardCount, err)) {
+        return false;
     }
+    if (out.shardCount == 0 || out.shardIndex >= out.shardCount)
+        return failParse(err, "'shard' index/count out of range");
     if (const json::Value *summary = v.find("summary")) {
         out.jobsRun = static_cast<size_t>(
             json::getUint(*summary, "jobsRun", 0));

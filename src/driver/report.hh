@@ -1,13 +1,14 @@
 /**
  * @file
  * Campaign-report serialization: RunResult, JobResult, and
- * CampaignReport → JSON (schema "chex-campaign-report-v5", described
+ * CampaignReport → JSON (schema "chex-campaign-report-v6", described
  * in DESIGN.md §8) and back. The RunResult serializer is also what
  * single runs use to emit structured stats next to
  * System::dumpStatsJson, and the fromJson direction is how
  * fork-isolated workers stream results to the campaign parent and
  * how cache sources and report consumers (the merge subcommand,
- * diff tools) load v1 through v5 files.
+ * diff tools) load v6 files. Reports are regenerated, never stored
+ * across versions, so no other tag parses.
  */
 
 #ifndef CHEX_DRIVER_REPORT_HH
@@ -41,19 +42,14 @@ void writeReport(const CampaignReport &report, std::ostream &os);
 /**
  * @{ @name JSON → struct (the parse direction)
  *
- * Rebuild the structs from parsed report documents. Unknown members
- * are ignored and absent members keep their struct defaults, so
- * schema-v1 files (no `cause`/`exitStatus`/`attemptSeconds`) load
- * cleanly: a failed v1 job maps to FailureCause::Exception, the only
- * failure v1 could record. v1/v2 files (no `specHash`/`cached`/
- * `exitCode`/`signal`) parse with specHash 0 (never a cache hit) and
- * the conflated `exitStatus` split by cause: signal/timeout failures
- * backfill `termSignal`, everything else `exitCode`. Pre-v4 files
- * (no `shard` block, no "skipped" job status) parse as complete
- * unsharded reports — shard 0 of 1, nothing skipped. Pre-v5 files
- * (no `fromSnapshot`) parse with every job from scratch. Returns false
- * and fills @p err (if non-null) when @p v is structurally wrong
- * (not an object, bad schema tag, jobs not an array, ...).
+ * Rebuild the structs from parsed report documents. The schema tag
+ * must be chex-campaign-report-v6, and the members v6 always writes
+ * are required: the `shard` block, each job's `specHash`, `cached`,
+ * `fromSnapshot` and `status` ("ok", "failed" or "skipped"), and a
+ * failed job's `cause`, `exitCode` and `signal`. Unknown members are
+ * ignored. Returns false and fills @p err (if non-null) when @p v is
+ * structurally wrong: not an object, a bad schema tag, a required
+ * member missing or mistyped (@p err names it), jobs not an array.
  */
 bool fromJson(const json::Value &v, RunResult &out,
               std::string *err = nullptr);

@@ -168,7 +168,6 @@ runIsolatedAttempt(const std::function<RunResult()> &body,
 
     if (timed_out) {
         out.cause = FailureCause::Timeout;
-        out.exitStatus = SIGKILL;
         out.termSignal = SIGKILL;
         out.error = csprintf(
             "killed after exceeding the %.1fs per-attempt watchdog",
@@ -187,14 +186,12 @@ runIsolatedAttempt(const std::function<RunResult()> &body,
     if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
         out.cause = FailureCause::Signal;
-        out.exitStatus = sig;
         out.termSignal = sig;
         out.error = csprintf("child killed by signal %d (%s)", sig,
                              strsignal(sig));
         return out;
     }
     int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    out.exitStatus = code;
     if (code != 0) {
         out.cause = FailureCause::NonzeroExit;
         out.exitCode = code;

@@ -44,13 +44,6 @@ struct AttemptOutcome
     FailureCause cause = FailureCause::None;
     std::string error; // human-readable detail when !ok
 
-    /**
-     * Legacy conflated field (v1/v2 reports): exit code, or signal
-     * number for Signal/Timeout. Prefer exitCode/termSignal, which
-     * can tell a watchdog SIGKILL from an exit with code 9.
-     */
-    int exitStatus = 0;
-
     /** Child exit code (cause NonzeroExit); 0 otherwise. */
     int exitCode = 0;
 

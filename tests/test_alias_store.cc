@@ -283,45 +283,51 @@ TEST(AliasStore, SnapshotRoundTripAfterChurnThenReclaim)
     }
 }
 
-TEST(AliasStore, PreReclamationFixtureRestores)
+TEST(AliasStore, RestoreRejectsEmptySubtrees)
 {
-    // A chex-snapshot-v1 alias document as the pre-reclamation code
-    // serialized it: set(addr, 0) never freed nodes, so the tree
-    // carries dead subtrees — an emptied leaf ([5, []]) and an
-    // emptied two-level chain ([6, [[7, []]]]). Restore must accept
-    // the fixture, keep the live entry, and prune the dead nodes
-    // rather than resurrecting them.
-    const char *fixture = R"({
-      "tree": [[0, [[1, [[2, [[3, [[4, 42]]]]]]]]],
-               [5, []],
-               [6, [[7, []]]]],
-      "pages": [[263171, 1]],
-      "liveEntries": 1
-    })";
+    // The reclaiming saver never emits an interior node that hosts no
+    // entry, so an empty subtree — an emptied leaf ([5, []]), an
+    // emptied chain ([6, [[7, []]]]), or an empty node on the live
+    // path itself — is a malformed document. Restore must reject it
+    // without leaking the nodes it built, and leave the table empty.
+    const char *fixtures[] = {
+        R"({"tree": [[0, [[1, [[2, [[3, [[4, 42]]]]]]]]], [5, []]],
+            "pages": [[263171, 1]], "liveEntries": 1})",
+        R"({"tree": [[0, [[1, [[2, [[3, [[4, 42]]]]]]]]],
+                     [6, [[7, []]]]],
+            "pages": [[263171, 1]], "liveEntries": 1})",
+        R"({"tree": [[0, [[1, [[2, [[3, [[4, 42]]], [9, []]]]]]]]],
+            "pages": [[263171, 1]], "liveEntries": 1})",
+    };
     // Path 0/1/2/3/4 encodes word index 0b000000000'000000001'
     // 000000010'000000011'000000100 = addr below.
     uint64_t addr = ((((((uint64_t{0} << 9 | 1) << 9 | 2) << 9 | 3)
                       << 9) |
                      4)
                      << 3);
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(fixture, doc, &err)) << err;
+    for (const char *text : fixtures) {
+        SCOPED_TRACE(text);
+        json::Value doc;
+        std::string err;
+        ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
 
-    AliasTable table;
-    ASSERT_TRUE(table.restoreState(doc));
-    EXPECT_EQ(table.get(addr), 42u);
-    EXPECT_EQ(table.liveEntries(), 1u);
-    EXPECT_TRUE(table.pageHostsAliases(addr));
-    // Root + the four nodes of the one live path; the dead leaf and
-    // the dead chain are pruned on the way in.
-    EXPECT_EQ(table.storageBytes(),
-              5 * uint64_t{AliasTable::NodeBytes});
-    // Round-trip: saving the restored table emits the pruned tree.
-    AliasTable again;
-    ASSERT_TRUE(again.restoreState(table.saveState()));
-    EXPECT_EQ(again.get(addr), 42u);
-    EXPECT_EQ(again.storageBytes(), table.storageBytes());
+        AliasTable table;
+        table.set(0x1000, 7);
+        EXPECT_FALSE(table.restoreState(doc));
+        EXPECT_EQ(table.get(addr), 0u);
+        EXPECT_EQ(table.get(0x1000), 0u);
+        EXPECT_EQ(table.liveEntries(), 0u);
+        EXPECT_FALSE(table.pageHostsAliases(addr));
+        EXPECT_EQ(table.liveNodes(), 1u); // the root alone
+        // Still usable: a set and a clean restore both work.
+        table.set(addr, 42);
+        EXPECT_EQ(table.get(addr), 42u);
+        AliasTable again;
+        ASSERT_TRUE(again.restoreState(table.saveState()));
+        EXPECT_EQ(again.get(addr), 42u);
+        EXPECT_EQ(again.storageBytes(),
+                  5 * uint64_t{AliasTable::NodeBytes});
+    }
 }
 
 TEST(AliasStore, RestoreRejectsDuplicateSlotIndices)

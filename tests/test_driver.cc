@@ -263,7 +263,6 @@ TEST(Isolation, PanicIsCapturedAsSignalWhileSiblingsComplete)
     EXPECT_EQ(r.jobsFailed, 1u);
     ASSERT_TRUE(r.jobs[2].failed);
     EXPECT_EQ(r.jobs[2].cause, driver::FailureCause::Signal);
-    EXPECT_EQ(r.jobs[2].exitStatus, SIGABRT);
     EXPECT_EQ(r.jobs[2].termSignal, SIGABRT);
     EXPECT_EQ(r.jobs[2].exitCode, 0);
     EXPECT_NE(r.jobs[2].error.find("signal"), std::string::npos)
@@ -295,7 +294,6 @@ TEST(Isolation, WatchdogKillsStuckJobAndRetries)
 
     ASSERT_TRUE(r.jobs[0].failed);
     EXPECT_EQ(r.jobs[0].cause, driver::FailureCause::Timeout);
-    EXPECT_EQ(r.jobs[0].exitStatus, SIGKILL);
     EXPECT_EQ(r.jobs[0].termSignal, SIGKILL);
     EXPECT_EQ(r.jobs[0].exitCode, 0);
     EXPECT_EQ(r.jobs[0].attempts, 2u);
@@ -374,7 +372,8 @@ TEST(Isolation, ExceptionCrossesTheProcessBoundary)
     ASSERT_TRUE(r.jobs[1].failed);
     EXPECT_EQ(r.jobs[1].cause, driver::FailureCause::Exception);
     EXPECT_EQ(r.jobs[1].error, "thrown in the child");
-    EXPECT_EQ(r.jobs[1].exitStatus, 0);
+    EXPECT_EQ(r.jobs[1].exitCode, 0);
+    EXPECT_EQ(r.jobs[1].termSignal, 0);
     EXPECT_FALSE(r.jobs[0].failed);
 }
 
@@ -394,7 +393,6 @@ TEST(Isolation, NonzeroExitIsCaptured)
 
     ASSERT_TRUE(r.jobs[0].failed);
     EXPECT_EQ(r.jobs[0].cause, driver::FailureCause::NonzeroExit);
-    EXPECT_EQ(r.jobs[0].exitStatus, 7);
     EXPECT_EQ(r.jobs[0].exitCode, 7);
     EXPECT_EQ(r.jobs[0].termSignal, 0);
     EXPECT_FALSE(r.jobs[1].failed);
@@ -579,8 +577,7 @@ TEST(Report, CampaignJsonRoundTrips)
             EXPECT_EQ(job.at("status").str(), "failed");
             EXPECT_EQ(job.at("error").str(), "boom");
             EXPECT_EQ(job.find("result"), nullptr);
-            // The v3 split fields ride along with the legacy
-            // conflated exitStatus.
+            EXPECT_EQ(job.find("exitStatus"), nullptr);
             EXPECT_EQ(job.at("exitCode").number(), 0.0);
             EXPECT_EQ(job.at("signal").number(), 0.0);
         } else {
@@ -659,174 +656,101 @@ TEST(Report, V5RoundTripsThroughFromJson)
     }
 }
 
-TEST(Report, V1StillParses)
+/**
+ * A minimal hand-written v6 report: one ok row and one failed row.
+ * @p drop names a required member to leave out, @p mistype one to
+ * write with the wrong JSON kind.
+ */
+json::Value
+v6Fixture(const std::string &drop = "", const std::string &mistype = "")
 {
-    // A hand-written schema-v1 document: no cause/exitStatus/
-    // attemptSeconds members anywhere.
-    const char *v1 = R"({
-      "schema": "chex-campaign-report-v1",
-      "seed": 7,
-      "workers": 2,
-      "summary": {
-        "jobsRun": 2, "jobsFailed": 1,
-        "wallSeconds": 1.5, "serialSeconds": 2.0,
-        "speedupVsSerial": 1.33,
-        "totalCycles": 100, "totalUops": 150, "aggregateIpc": 1.5
-      },
-      "jobs": [
-        {"index": 0, "label": "mcf/baseline", "profile": "mcf",
-         "variant": "baseline", "seed": 9, "repetition": 0,
-         "status": "ok", "attempts": 1, "wallSeconds": 1.0,
-         "result": {"exited": true, "cycles": 100, "uops": 150,
-                    "ipc": 1.5}},
-        {"index": 1, "label": "lbm/baseline", "profile": "lbm",
-         "variant": "baseline", "seed": 10, "repetition": 0,
-         "status": "failed", "attempts": 2, "wallSeconds": 0.5,
-         "error": "boom"}
-      ]
-    })";
-
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(v1, doc, &err)) << err;
-
-    driver::CampaignReport report;
-    ASSERT_TRUE(driver::fromJson(doc, report, &err)) << err;
-    EXPECT_EQ(report.seed, 7u);
-    EXPECT_EQ(report.workers, 2u);
-    EXPECT_EQ(report.jobsRun, 2u);
-    EXPECT_EQ(report.jobsFailed, 1u);
-    ASSERT_EQ(report.jobs.size(), 2u);
-
-    EXPECT_FALSE(report.jobs[0].failed);
-    EXPECT_EQ(report.jobs[0].label, "mcf/baseline");
-    EXPECT_EQ(report.jobs[0].run.cycles, 100u);
-    EXPECT_TRUE(report.jobs[0].run.exited);
-    EXPECT_TRUE(report.jobs[0].attemptSeconds.empty());
-
-    EXPECT_TRUE(report.jobs[1].failed);
-    EXPECT_EQ(report.jobs[1].error, "boom");
-    // v1 could only record exceptions, so that is the backfill.
-    EXPECT_EQ(report.jobs[1].cause, driver::FailureCause::Exception);
-    EXPECT_EQ(report.jobs[1].exitStatus, 0);
-    EXPECT_EQ(report.jobs[1].exitCode, 0);
-    EXPECT_EQ(report.jobs[1].termSignal, 0);
-    // Pre-v3 reports carry no specHash: the jobs load fine but can
-    // never satisfy a cache lookup.
-    EXPECT_EQ(report.jobs[0].specHash, 0u);
-    EXPECT_FALSE(report.jobs[0].cached);
+    auto put = [&](json::Value &obj, const std::string &key,
+                   json::Value v) {
+        if (key == drop)
+            return;
+        if (key == mistype)
+            v = v.isString() ? json::Value(uint64_t{1})
+                             : json::Value("wrong kind");
+        obj.set(key, std::move(v));
+    };
+    json::Value doc = json::Value::object();
+    doc.set("schema", "chex-campaign-report-v6");
+    doc.set("seed", uint64_t{5});
+    doc.set("workers", 1);
+    put(doc, "shard",
+        json::Value::object().set("index", 0).set("count", 1));
+    json::Value jobs = json::Value::array();
+    for (bool failed : {false, true}) {
+        json::Value job = json::Value::object();
+        job.set("index", failed ? 1 : 0);
+        job.set("label", failed ? "lbm/baseline" : "mcf/baseline");
+        put(job, "specHash", "00000000deadbeef");
+        put(job, "cached", false);
+        put(job, "fromSnapshot", false);
+        put(job, "status", failed ? "failed" : "ok");
+        if (failed) {
+            job.set("error", "exited with status 7");
+            put(job, "cause", "nonzero-exit");
+            put(job, "exitCode", 7);
+            put(job, "signal", 0);
+        } else {
+            job.set("result", json::Value::object().set("cycles", 200));
+        }
+        jobs.push(std::move(job));
+    }
+    doc.set("jobs", std::move(jobs));
+    return doc;
 }
 
-TEST(Report, V2SplitsLegacyExitStatusByCause)
+TEST(Report, RejectsPreV6SchemaTags)
 {
-    // Hand-written schema-v2 jobs carry only the conflated
-    // exitStatus member; parsing must split it into termSignal or
-    // exitCode depending on the recorded cause.
-    const char *v2 = R"({
-      "schema": "chex-campaign-report-v2",
-      "seed": 3,
-      "workers": 1,
-      "summary": {
-        "jobsRun": 3, "jobsFailed": 3,
-        "wallSeconds": 1.0, "serialSeconds": 1.0,
-        "speedupVsSerial": 1.0,
-        "totalCycles": 0, "totalUops": 0, "aggregateIpc": 0.0
-      },
-      "jobs": [
-        {"index": 0, "label": "a/baseline", "profile": "a",
-         "variant": "baseline", "seed": 1, "repetition": 0,
-         "status": "failed", "attempts": 1, "wallSeconds": 0.1,
-         "error": "killed by signal 6", "cause": "signal",
-         "exitStatus": 6},
-        {"index": 1, "label": "b/baseline", "profile": "b",
-         "variant": "baseline", "seed": 2, "repetition": 0,
-         "status": "failed", "attempts": 1, "wallSeconds": 0.1,
-         "error": "timed out", "cause": "timeout",
-         "exitStatus": 9},
-        {"index": 2, "label": "c/baseline", "profile": "c",
-         "variant": "baseline", "seed": 3, "repetition": 0,
-         "status": "failed", "attempts": 1, "wallSeconds": 0.1,
-         "error": "exited with status 7", "cause": "nonzero-exit",
-         "exitStatus": 7}
-      ]
-    })";
-
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(v2, doc, &err)) << err;
-
     driver::CampaignReport report;
-    ASSERT_TRUE(driver::fromJson(doc, report, &err)) << err;
-    ASSERT_EQ(report.jobs.size(), 3u);
-
-    EXPECT_EQ(report.jobs[0].cause, driver::FailureCause::Signal);
-    EXPECT_EQ(report.jobs[0].exitStatus, 6);
-    EXPECT_EQ(report.jobs[0].termSignal, 6);
-    EXPECT_EQ(report.jobs[0].exitCode, 0);
-
-    EXPECT_EQ(report.jobs[1].cause, driver::FailureCause::Timeout);
-    EXPECT_EQ(report.jobs[1].termSignal, 9);
-    EXPECT_EQ(report.jobs[1].exitCode, 0);
-
-    EXPECT_EQ(report.jobs[2].cause,
-              driver::FailureCause::NonzeroExit);
-    EXPECT_EQ(report.jobs[2].exitCode, 7);
-    EXPECT_EQ(report.jobs[2].termSignal, 0);
+    std::string err;
+    ASSERT_TRUE(driver::fromJson(v6Fixture(), report, &err)) << err;
+    // Reports are regenerated, never stored across versions: every
+    // earlier tag is an unknown schema, even with v6-shaped members.
+    for (int version = 1; version <= 5; ++version) {
+        json::Value doc = v6Fixture();
+        doc.set("schema",
+                csprintf("chex-campaign-report-v%d", version));
+        err.clear();
+        EXPECT_FALSE(driver::fromJson(doc, report, &err)) << version;
+        EXPECT_NE(err.find("schema"), std::string::npos) << err;
+    }
 }
 
-TEST(Report, V3StillParsesWithShardBackfill)
+TEST(Report, RejectsMissingV6Members)
 {
-    // A hand-written schema-v3 document: specHash/cached/exitCode/
-    // signal are present, but no shard block and no jobsSkipped —
-    // parsing must backfill shard 0 of 1 with nothing skipped.
-    const char *v3 = R"({
-      "schema": "chex-campaign-report-v3",
-      "seed": 5,
-      "workers": 2,
-      "summary": {
-        "jobsRun": 2, "jobsFailed": 1, "jobsCached": 1,
-        "wallSeconds": 1.0, "serialSeconds": 1.5,
-        "speedupVsSerial": 1.5,
-        "totalCycles": 200, "totalUops": 300, "aggregateIpc": 1.5
-      },
-      "jobs": [
-        {"index": 0, "label": "mcf/baseline", "profile": "mcf",
-         "variant": "baseline", "seed": 9, "repetition": 0,
-         "specHash": "00000000deadbeef", "status": "ok",
-         "cached": true, "attempts": 0, "wallSeconds": 0.0,
-         "result": {"exited": true, "cycles": 200, "uops": 300,
-                    "ipc": 1.5}},
-        {"index": 1, "label": "lbm/baseline", "profile": "lbm",
-         "variant": "baseline", "seed": 10, "repetition": 0,
-         "specHash": "0000000000001234", "status": "failed",
-         "cached": false, "attempts": 1, "wallSeconds": 0.5,
-         "attemptSeconds": [0.5], "error": "exited with status 7",
-         "cause": "nonzero-exit", "exitStatus": 7, "exitCode": 7,
-         "signal": 0}
-      ]
-    })";
-
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(v3, doc, &err)) << err;
-
     driver::CampaignReport report;
-    ASSERT_TRUE(driver::fromJson(doc, report, &err)) << err;
-    EXPECT_EQ(report.shardIndex, 0u);
-    EXPECT_EQ(report.shardCount, 1u);
-    EXPECT_EQ(report.jobsSkipped, 0u);
+    std::string err;
+    ASSERT_TRUE(driver::fromJson(v6Fixture(), report, &err)) << err;
     ASSERT_EQ(report.jobs.size(), 2u);
-
-    EXPECT_FALSE(report.jobs[0].skipped);
-    EXPECT_TRUE(report.jobs[0].cached);
     EXPECT_EQ(report.jobs[0].specHash, 0xdeadbeefull);
-    EXPECT_EQ(report.jobs[0].run.cycles, 200u);
-
-    EXPECT_FALSE(report.jobs[1].skipped);
-    EXPECT_TRUE(report.jobs[1].failed);
-    EXPECT_EQ(report.jobs[1].cause,
-              driver::FailureCause::NonzeroExit);
+    EXPECT_EQ(report.jobs[1].cause, driver::FailureCause::NonzeroExit);
     EXPECT_EQ(report.jobs[1].exitCode, 7);
+
+    for (const char *key : {"shard", "specHash", "cached", "fromSnapshot",
+                            "status", "cause", "exitCode", "signal"}) {
+        for (bool mistyped : {false, true}) {
+            SCOPED_TRACE(csprintf("%s %s", key,
+                                  mistyped ? "mistyped" : "missing"));
+            json::Value doc = mistyped ? v6Fixture("", key)
+                                       : v6Fixture(key);
+            err.clear();
+            EXPECT_FALSE(driver::fromJson(doc, report, &err));
+            EXPECT_NE(err.find(csprintf("'%s'", key)),
+                      std::string::npos)
+                << err;
+        }
+    }
+
+    json::Value doc = v6Fixture();
+    json::Value bad_status = json::Value::array();
+    for (json::Value job : doc.at("jobs").items())
+        bad_status.push(job.set("status", "pending"));
+    doc.set("jobs", std::move(bad_status));
+    EXPECT_FALSE(driver::fromJson(doc, report, &err));
+    EXPECT_NE(err.find("status"), std::string::npos) << err;
 }
 
 TEST(Report, UnknownFailureCauseFallsBackWithWarning)
@@ -1194,7 +1118,7 @@ TEST(Shard, ShardReportJsonRoundTrips)
 TEST(Shard, FromJsonRejectsBadShardGeometry)
 {
     const char *base = R"({
-      "schema": "chex-campaign-report-v4",
+      "schema": "chex-campaign-report-v6",
       "seed": 1, "workers": 1,
       "shard": {"index": %s, "count": %s},
       "summary": {"jobsRun": 0, "jobsFailed": 0,

@@ -1,71 +1,28 @@
 /**
  * @file
  * Perf-record comparator for CI: `bench-compare BASELINE NEW` diffs
- * two committed benchmark documents of the same schema. Supported
- * schemas:
- *
- *  - chex-bench-throughput-v1 (micro_throughput → the committed
- *    BENCH_throughput.json): per-variant retired-work counts and
- *    host µops/second.
- *  - chex-bench-capscale-v1 (cap_scale → the committed
- *    BENCH_capscale.json): per-live-target capability-table op
- *    counts, peak shadow bytes, result checksum, and host ops/second.
- *  - chex-bench-aliasscale-v1 (alias_scale → the committed
- *    BENCH_aliasscale.json): per-live-target alias-table op counts,
- *    live entries, node counts, peak/end shadow bytes, result
- *    checksum, and host ops/second.
- *  - chex-security-report-v1 (chex-campaign attack → the committed
- *    BENCH_security.json): per-variant attack/detected/anchor
- *    counts, violation-class breakdown, baseline validity, and
- *    escape count. Everything is deterministic-output drift here —
- *    there are no wall-clock fields — and a detection-rate drop is
- *    flagged by name as the headline regression.
- *
- * Two classes of divergence, with different severities:
- *
- *  - Deterministic-output drift (macroOps/uops/cycles for
- *    throughput; ops/totalCapabilities/liveCapabilities/
- *    peakShadowBytes/checksum for capscale; ops/liveEntries/
- *    liveNodes/peakShadowBytes/endShadowBytes/checksum for
- *    aliasscale): FATAL. These are pure
- *    functions of (schema inputs, seed, scale); host-side
- *    optimizations must not move them. A mismatch means semantics
- *    changed — either a bug, or a deliberate model change that
- *    forgot to regenerate the committed record.
- *
- *  - Wall-clock regression (uopsPerSecond / opsPerSecond): WARNING
- *    only. Host throughput depends on the machine running the
- *    comparison, so a shared-runner CI cannot gate on it — but a
- *    drop past the threshold (default 25%, override with
- *    --tolerance) is loud in the log so a perf cliff does not land
- *    silently.
+ * two benchmark documents of the same schema with the generic rule
+ * in bench_diff.hh — deterministic counts must match exactly (fatal,
+ * by JSON path), `*PerSecond` host rates only warn when they drop
+ * past 25%, and `bestWallSeconds` is ignored.
  *
  * Exit status: 0 on match (warnings included), 1 on fatal drift or
- * unreadable/mismatched inputs.
+ * unreadable inputs.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "base/json.hh"
+#include "bench_diff.hh"
 
 namespace
 {
 
-using chex::json::Value;
-
-double g_tolerance = 0.25;
-int g_fatal = 0;
-int g_warnings = 0;
-
 bool
-readDoc(const char *path, Value &doc)
+readDoc(const char *path, chex::json::Value &doc)
 {
     std::ifstream in(path);
     if (!in) {
@@ -75,7 +32,7 @@ readDoc(const char *path, Value &doc)
     std::ostringstream ss;
     ss << in.rdbuf();
     std::string err;
-    if (!Value::parse(ss.str(), doc, &err)) {
+    if (!chex::json::Value::parse(ss.str(), doc, &err)) {
         std::fprintf(stderr, "bench-compare: %s: %s\n", path,
                      err.c_str());
         return false;
@@ -83,524 +40,32 @@ readDoc(const char *path, Value &doc)
     return true;
 }
 
-/**
- * Compare one deterministic uint cell; fatal on drift. Returns true
- * when the cell matched.
- */
-bool
-checkUint(const std::string &row, const char *field, uint64_t b,
-          uint64_t n)
-{
-    if (b == n)
-        return true;
-    std::fprintf(stderr, "FATAL: %s: %s drifted: %llu -> %llu\n",
-                 row.c_str(), field,
-                 static_cast<unsigned long long>(b),
-                 static_cast<unsigned long long>(n));
-    ++g_fatal;
-    return false;
-}
-
-/** Warn when a wall-clock rate dropped past the tolerance. */
-void
-checkRate(const std::string &row, const char *field, double b,
-          double n)
-{
-    if (b > 0.0 && n < b * (1.0 - g_tolerance)) {
-        std::fprintf(stderr,
-                     "WARNING: %s: %s dropped %.0f -> %.0f "
-                     "(-%.1f%%, tolerance %.0f%%)\n",
-                     row.c_str(), field, b, n,
-                     100.0 * (1.0 - n / b), 100.0 * g_tolerance);
-        ++g_warnings;
-    }
-}
-
-// ---------------------------------------------------------------
-// chex-bench-throughput-v1
-// ---------------------------------------------------------------
-
-struct ThroughputRow
-{
-    uint64_t macroOps = 0;
-    uint64_t uops = 0;
-    uint64_t cycles = 0;
-    double uopsPerSecond = 0.0;
-};
-
-bool
-loadThroughput(const char *path, const Value &doc,
-               std::map<std::string, ThroughputRow> &rows)
-{
-    const Value *variants = doc.find("variants");
-    if (!variants || !variants->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing variants[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : variants->items()) {
-        ThroughputRow r;
-        r.macroOps = chex::json::getUint(v, "macroOps", 0);
-        r.uops = chex::json::getUint(v, "uops", 0);
-        r.cycles = chex::json::getUint(v, "cycles", 0);
-        r.uopsPerSecond = chex::json::getDouble(v, "uopsPerSecond", 0);
-        rows[chex::json::getString(v, "variant", "?")] = r;
-    }
-    return true;
-}
-
-int
-compareThroughput(const char *paths[2], const Value &base_doc,
-                  const Value &new_doc)
-{
-    // The measurement cell (profile/scale/seed) must match exactly.
-    if (chex::json::getString(base_doc, "profile", "") !=
-            chex::json::getString(new_doc, "profile", "") ||
-        chex::json::getUint(base_doc, "scale", 0) !=
-            chex::json::getUint(new_doc, "scale", 0) ||
-        chex::json::getUint(base_doc, "seed", 0) !=
-            chex::json::getUint(new_doc, "seed", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: profile/scale/seed differ — the "
-                     "records measure different cells\n");
-        return 1;
-    }
-
-    std::map<std::string, ThroughputRow> base_rows, new_rows;
-    if (!loadThroughput(paths[0], base_doc, base_rows) ||
-        !loadThroughput(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[name, b] : base_rows) {
-        auto it = new_rows.find(name);
-        if (it == new_rows.end()) {
-            std::fprintf(stderr,
-                         "FATAL: variant '%s' missing from %s\n",
-                         name.c_str(), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const ThroughputRow &n = it->second;
-        checkUint(name, "macroOps", b.macroOps, n.macroOps);
-        checkUint(name, "uops", b.uops, n.uops);
-        checkUint(name, "cycles", b.cycles, n.cycles);
-        checkRate(name, "uops/s", b.uopsPerSecond, n.uopsPerSecond);
-    }
-    for (const auto &[name, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(name))
-            std::fprintf(stderr,
-                         "note: new variant '%s' not in baseline\n",
-                         name.c_str());
-    }
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: simulated counts match for all %zu "
-                 "variants (%d wall-clock warning(s))\n",
-                 base_rows.size(), g_warnings);
-    return 0;
-}
-
-// ---------------------------------------------------------------
-// chex-bench-capscale-v1
-// ---------------------------------------------------------------
-
-struct CapScaleRow
-{
-    uint64_t ops = 0;
-    uint64_t totalCaps = 0;
-    uint64_t liveCaps = 0;
-    uint64_t peakShadowBytes = 0;
-    uint64_t checksum = 0;
-    double opsPerSecond = 0.0;
-};
-
-bool
-loadCapScale(const char *path, const Value &doc,
-             std::map<uint64_t, CapScaleRow> &rows)
-{
-    const Value *arr = doc.find("rows");
-    if (!arr || !arr->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing rows[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : arr->items()) {
-        CapScaleRow r;
-        r.ops = chex::json::getUint(v, "ops", 0);
-        r.totalCaps = chex::json::getUint(v, "totalCapabilities", 0);
-        r.liveCaps = chex::json::getUint(v, "liveCapabilities", 0);
-        r.peakShadowBytes =
-            chex::json::getUint(v, "peakShadowBytes", 0);
-        r.checksum = chex::json::getUint(v, "checksum", 0);
-        r.opsPerSecond = chex::json::getDouble(v, "opsPerSecond", 0);
-        rows[chex::json::getUint(v, "liveTarget", 0)] = r;
-    }
-    return true;
-}
-
-int
-compareCapScale(const char *paths[2], const Value &base_doc,
-                const Value &new_doc)
-{
-    // The measurement cell (seed/scale/churnOps) must match exactly.
-    if (chex::json::getUint(base_doc, "seed", 0) !=
-            chex::json::getUint(new_doc, "seed", 0) ||
-        chex::json::getUint(base_doc, "scale", 0) !=
-            chex::json::getUint(new_doc, "scale", 0) ||
-        chex::json::getUint(base_doc, "churnOps", 0) !=
-            chex::json::getUint(new_doc, "churnOps", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: seed/scale/churnOps differ — "
-                     "the records measure different cells\n");
-        return 1;
-    }
-
-    std::map<uint64_t, CapScaleRow> base_rows, new_rows;
-    if (!loadCapScale(paths[0], base_doc, base_rows) ||
-        !loadCapScale(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[target, b] : base_rows) {
-        auto it = new_rows.find(target);
-        if (it == new_rows.end()) {
-            std::fprintf(
-                stderr,
-                "FATAL: live target %llu missing from %s\n",
-                static_cast<unsigned long long>(target), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const CapScaleRow &n = it->second;
-        std::string name =
-            "live=" + std::to_string(target);
-        checkUint(name, "ops", b.ops, n.ops);
-        checkUint(name, "totalCapabilities", b.totalCaps,
-                  n.totalCaps);
-        checkUint(name, "liveCapabilities", b.liveCaps, n.liveCaps);
-        checkUint(name, "peakShadowBytes", b.peakShadowBytes,
-                  n.peakShadowBytes);
-        checkUint(name, "checksum", b.checksum, n.checksum);
-        checkRate(name, "ops/s", b.opsPerSecond, n.opsPerSecond);
-    }
-    for (const auto &[target, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(target))
-            std::fprintf(
-                stderr,
-                "note: new live target %llu not in baseline\n",
-                static_cast<unsigned long long>(target));
-    }
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: deterministic counts match for all "
-                 "%zu live targets (%d wall-clock warning(s))\n",
-                 base_rows.size(), g_warnings);
-    return 0;
-}
-
-// ---------------------------------------------------------------
-// chex-bench-aliasscale-v1
-// ---------------------------------------------------------------
-
-struct AliasScaleRow
-{
-    uint64_t ops = 0;
-    uint64_t liveEntries = 0;
-    uint64_t peakShadowBytes = 0;
-    uint64_t endShadowBytes = 0;
-    uint64_t liveNodes = 0;
-    uint64_t checksum = 0;
-    double opsPerSecond = 0.0;
-};
-
-bool
-loadAliasScale(const char *path, const Value &doc,
-               std::map<uint64_t, AliasScaleRow> &rows)
-{
-    const Value *arr = doc.find("rows");
-    if (!arr || !arr->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing rows[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : arr->items()) {
-        AliasScaleRow r;
-        r.ops = chex::json::getUint(v, "ops", 0);
-        r.liveEntries = chex::json::getUint(v, "liveEntries", 0);
-        r.peakShadowBytes =
-            chex::json::getUint(v, "peakShadowBytes", 0);
-        r.endShadowBytes =
-            chex::json::getUint(v, "endShadowBytes", 0);
-        r.liveNodes = chex::json::getUint(v, "liveNodes", 0);
-        r.checksum = chex::json::getUint(v, "checksum", 0);
-        r.opsPerSecond = chex::json::getDouble(v, "opsPerSecond", 0);
-        rows[chex::json::getUint(v, "liveTarget", 0)] = r;
-    }
-    return true;
-}
-
-int
-compareAliasScale(const char *paths[2], const Value &base_doc,
-                  const Value &new_doc)
-{
-    // The measurement cell (seed/scale/churnOps) must match exactly.
-    if (chex::json::getUint(base_doc, "seed", 0) !=
-            chex::json::getUint(new_doc, "seed", 0) ||
-        chex::json::getUint(base_doc, "scale", 0) !=
-            chex::json::getUint(new_doc, "scale", 0) ||
-        chex::json::getUint(base_doc, "churnOps", 0) !=
-            chex::json::getUint(new_doc, "churnOps", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: seed/scale/churnOps differ — "
-                     "the records measure different cells\n");
-        return 1;
-    }
-
-    std::map<uint64_t, AliasScaleRow> base_rows, new_rows;
-    if (!loadAliasScale(paths[0], base_doc, base_rows) ||
-        !loadAliasScale(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[target, b] : base_rows) {
-        auto it = new_rows.find(target);
-        if (it == new_rows.end()) {
-            std::fprintf(
-                stderr,
-                "FATAL: live target %llu missing from %s\n",
-                static_cast<unsigned long long>(target), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const AliasScaleRow &n = it->second;
-        std::string name = "live=" + std::to_string(target);
-        checkUint(name, "ops", b.ops, n.ops);
-        checkUint(name, "liveEntries", b.liveEntries, n.liveEntries);
-        checkUint(name, "peakShadowBytes", b.peakShadowBytes,
-                  n.peakShadowBytes);
-        checkUint(name, "endShadowBytes", b.endShadowBytes,
-                  n.endShadowBytes);
-        checkUint(name, "liveNodes", b.liveNodes, n.liveNodes);
-        checkUint(name, "checksum", b.checksum, n.checksum);
-        checkRate(name, "ops/s", b.opsPerSecond, n.opsPerSecond);
-    }
-    for (const auto &[target, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(target))
-            std::fprintf(
-                stderr,
-                "note: new live target %llu not in baseline\n",
-                static_cast<unsigned long long>(target));
-    }
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: deterministic counts match for all "
-                 "%zu live targets (%d wall-clock warning(s))\n",
-                 base_rows.size(), g_warnings);
-    return 0;
-}
-
-// ---------------------------------------------------------------
-// chex-security-report-v1
-// ---------------------------------------------------------------
-
-struct SecurityVariantRow
-{
-    uint64_t attacks = 0;
-    uint64_t detected = 0;
-    uint64_t anchorMatches = 0;
-    double detectionRate = 0.0;
-    std::map<std::string, uint64_t> byClass;
-};
-
-bool
-loadSecurity(const char *path, const Value &doc,
-             std::map<std::string, SecurityVariantRow> &rows)
-{
-    const Value *variants = doc.find("variants");
-    if (!variants || !variants->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing variants[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : variants->items()) {
-        SecurityVariantRow r;
-        r.attacks = chex::json::getUint(v, "attacks", 0);
-        r.detected = chex::json::getUint(v, "detected", 0);
-        r.anchorMatches = chex::json::getUint(v, "anchorMatches", 0);
-        r.detectionRate = chex::json::getDouble(v, "detectionRate", 0);
-        if (const Value *by_class = v.find("byClass")) {
-            for (const auto &[cls, n] : by_class->members())
-                r.byClass[cls] = n.isNumber() ? n.asUint64() : 0;
-        }
-        rows[chex::json::getString(v, "variant", "?")] = r;
-    }
-    return true;
-}
-
-int
-compareSecurity(const char *paths[2], const Value &base_doc,
-                const Value &new_doc)
-{
-    // Same campaign seed, or the reports sweep different exploit
-    // populations entirely.
-    if (chex::json::getUint(base_doc, "campaignSeed", 0) !=
-        chex::json::getUint(new_doc, "campaignSeed", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: campaignSeed differs — the "
-                     "reports sweep different attack populations\n");
-        return 1;
-    }
-
-    checkUint("campaign", "attackJobs",
-              chex::json::getUint(base_doc, "attackJobs", 0),
-              chex::json::getUint(new_doc, "attackJobs", 0));
-    checkUint("campaign", "failedJobs",
-              chex::json::getUint(base_doc, "failedJobs", 0),
-              chex::json::getUint(new_doc, "failedJobs", 0));
-
-    const Value *base_bl = base_doc.find("baseline");
-    const Value *new_bl = new_doc.find("baseline");
-    if (base_bl && new_bl) {
-        checkUint("baseline", "checked",
-                  chex::json::getUint(*base_bl, "checked", 0),
-                  chex::json::getUint(*new_bl, "checked", 0));
-        checkUint("baseline", "valid",
-                  chex::json::getUint(*base_bl, "valid", 0),
-                  chex::json::getUint(*new_bl, "valid", 0));
-    }
-
-    std::map<std::string, SecurityVariantRow> base_rows, new_rows;
-    if (!loadSecurity(paths[0], base_doc, base_rows) ||
-        !loadSecurity(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[name, b] : base_rows) {
-        auto it = new_rows.find(name);
-        if (it == new_rows.end()) {
-            std::fprintf(stderr,
-                         "FATAL: variant '%s' missing from %s\n",
-                         name.c_str(), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const SecurityVariantRow &n = it->second;
-        // A detection-rate drop is THE regression this comparator
-        // exists to catch: an enforcement variant newly missing
-        // exploits it used to stop. Call it out by name before the
-        // raw count diffs.
-        if (n.detectionRate < b.detectionRate) {
-            std::fprintf(stderr,
-                         "FATAL: %s: detection rate dropped %.4f -> "
-                         "%.4f\n",
-                         name.c_str(), b.detectionRate,
-                         n.detectionRate);
-            ++g_fatal;
-        }
-        checkUint(name, "attacks", b.attacks, n.attacks);
-        checkUint(name, "detected", b.detected, n.detected);
-        checkUint(name, "anchorMatches", b.anchorMatches,
-                  n.anchorMatches);
-        for (const auto &[cls, count] : b.byClass) {
-            auto cit = n.byClass.find(cls);
-            checkUint(name, ("byClass." + cls).c_str(), count,
-                      cit == n.byClass.end() ? 0 : cit->second);
-        }
-        for (const auto &[cls, count] : n.byClass) {
-            if (!b.byClass.count(cls))
-                checkUint(name, ("byClass." + cls).c_str(), 0,
-                          count);
-        }
-    }
-    for (const auto &[name, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(name))
-            std::fprintf(stderr,
-                         "note: new variant '%s' not in baseline\n",
-                         name.c_str());
-    }
-
-    const Value *base_esc = base_doc.find("escaped");
-    const Value *new_esc = new_doc.find("escaped");
-    checkUint("campaign", "escaped",
-              base_esc && base_esc->isArray()
-                  ? base_esc->items().size() : 0,
-              new_esc && new_esc->isArray()
-                  ? new_esc->items().size() : 0);
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: security outcomes match for all %zu "
-                 "variants\n",
-                 base_rows.size());
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const char *paths[2] = {nullptr, nullptr};
-    int npaths = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-            g_tolerance = std::atof(argv[++i]);
-        } else if (npaths < 2) {
-            paths[npaths++] = argv[i];
-        } else {
-            npaths = 3; // too many
-            break;
-        }
-    }
-    if (npaths != 2) {
+    if (argc != 3) {
         std::fprintf(stderr,
-                     "usage: bench-compare [--tolerance F] "
-                     "BASELINE.json NEW.json\n");
+                     "usage: bench-compare BASELINE.json NEW.json\n");
         return 1;
     }
-
-    Value base_doc, new_doc;
-    if (!readDoc(paths[0], base_doc) || !readDoc(paths[1], new_doc))
+    chex::json::Value base_doc, new_doc;
+    if (!readDoc(argv[1], base_doc) || !readDoc(argv[2], new_doc))
         return 1;
 
-    std::string base_schema =
-        chex::json::getString(base_doc, "schema", "");
-    std::string new_schema =
-        chex::json::getString(new_doc, "schema", "");
-    if (base_schema != new_schema) {
-        std::fprintf(stderr,
-                     "bench-compare: schema mismatch: %s is '%s', "
-                     "%s is '%s'\n",
-                     paths[0], base_schema.c_str(), paths[1],
-                     new_schema.c_str());
+    chex::bench::RecordDiff diff =
+        chex::bench::diffRecords(base_doc, new_doc);
+    for (const std::string &w : diff.warnings)
+        std::fprintf(stderr, "WARNING: %s\n", w.c_str());
+    for (const std::string &f : diff.fatal)
+        std::fprintf(stderr, "FATAL: %s\n", f.c_str());
+    if (!diff.fatal.empty())
         return 1;
-    }
-    if (base_schema == "chex-bench-throughput-v1")
-        return compareThroughput(paths, base_doc, new_doc);
-    if (base_schema == "chex-bench-capscale-v1")
-        return compareCapScale(paths, base_doc, new_doc);
-    if (base_schema == "chex-bench-aliasscale-v1")
-        return compareAliasScale(paths, base_doc, new_doc);
-    if (base_schema == "chex-security-report-v1")
-        return compareSecurity(paths, base_doc, new_doc);
-
     std::fprintf(stderr,
-                 "bench-compare: unsupported schema '%s' (expected "
-                 "chex-bench-throughput-v1, chex-bench-capscale-v1, "
-                 "chex-bench-aliasscale-v1, or "
-                 "chex-security-report-v1)\n",
-                 base_schema.c_str());
-    return 1;
+                 "bench-compare: %s: deterministic fields match "
+                 "(%zu wall-clock warning(s))\n",
+                 chex::json::getString(base_doc, "schema", "").c_str(),
+                 diff.warnings.size());
+    return 0;
 }

@@ -15,8 +15,7 @@
  *   chex-campaign replay   — re-run one (failed) report row by
  *                            itself, bit-identically
  *
- * A bare invocation (flags with no subcommand) keeps meaning `run`,
- * so every pre-subcommand command line still works.
+ * A bare invocation (flags with no subcommand) is a usage error.
  *
  *   chex-campaign run --profiles spec --variants baseline,ucode-pred \
  *                     --jobs 8 --seed 7 --reps 3 --out report.json
@@ -313,8 +312,7 @@ buildSpecs(const std::vector<BenchmarkProfile> &profiles,
 }
 
 int
-runMain(const char *argv0, int argc, char **argv, int begin,
-        bool bare)
+runMain(const char *argv0, int argc, char **argv, int begin)
 {
     // The bench harness env knobs double as CLI defaults.
     driver::EnvOptions env = driver::optionsFromEnv();
@@ -338,7 +336,7 @@ runMain(const char *argv0, int argc, char **argv, int begin,
     bool list_only = false;
 
     cli::FlagParser parser(
-        argv0, bare ? "" : "run",
+        argv0, "run",
         "Run a simulation campaign (profiles x variants x reps) on "
         "a\nworker thread pool and emit a JSON report "
         "(chex-campaign-report-v6).");
@@ -1412,8 +1410,7 @@ globalUsage(const char *argv0, FILE *out)
         "usage: %s <command> [options]\n"
         "\n"
         "commands:\n"
-        "  run       run a simulation campaign (the default: a bare\n"
-        "            `%s [options]` invocation means `run`)\n"
+        "  run       run a simulation campaign\n"
         "  attack    sweep seeded generated exploits (and the\n"
         "            hand-written suites) across variants and emit\n"
         "            the distilled security report\n"
@@ -1424,7 +1421,7 @@ globalUsage(const char *argv0, FILE *out)
         "            bit-identically to its campaign run\n"
         "\n"
         "run '%s <command> --help' for per-command options\n",
-        argv0, argv0, argv0);
+        argv0, argv0);
 }
 
 } // namespace
@@ -1435,7 +1432,7 @@ main(int argc, char **argv)
     if (argc > 1) {
         std::string first = argv[1];
         if (first == "run")
-            return runMain(argv[0], argc, argv, 2, false);
+            return runMain(argv[0], argc, argv, 2);
         if (first == "attack")
             return attackMain(argv[0], argc, argv, 2);
         if (first == "merge")
@@ -1448,13 +1445,9 @@ main(int argc, char **argv)
             globalUsage(argv[0], stdout);
             return 0;
         }
-        if (!first.empty() && first[0] != '-') {
-            std::fprintf(stderr, "%s: unknown command '%s'\n",
-                         argv[0], first.c_str());
-            globalUsage(argv[0], stderr);
-            return 2;
-        }
+        std::fprintf(stderr, "%s: expected a command, got '%s'\n",
+                     argv[0], first.c_str());
     }
-    // Back-compat: flags with no subcommand mean `run`.
-    return runMain(argv[0], argc, argv, 1, true);
+    globalUsage(argv[0], stderr);
+    return 2;
 }

@@ -54,9 +54,8 @@ class FlagParser
   public:
     /**
      * @p prog is argv[0]; @p subcommand names the usage ("run",
-     * "merge", or "" for the bare-invocation alias of run);
-     * @p summary is the one-paragraph description printed by
-     * --help.
+     * "merge", ...); @p summary is the one-paragraph description
+     * printed by --help.
      */
     FlagParser(std::string prog, std::string subcommand,
                std::string summary)
@@ -166,9 +165,8 @@ class FlagParser
     void
     usage(FILE *out) const
     {
-        std::fprintf(out, "usage: %s%s%s [options]%s%s\n",
-                     _prog.c_str(), _subcommand.empty() ? "" : " ",
-                     _subcommand.c_str(),
+        std::fprintf(out, "usage: %s [options]%s%s\n",
+                     context().c_str(),
                      _positionalMeta.empty() ? "" : " ",
                      _positionalMeta.c_str());
         std::fprintf(out, "\n%s\n\n", _summary.c_str());
@@ -197,8 +195,7 @@ class FlagParser
     std::string
     context() const
     {
-        return _subcommand.empty() ? _prog
-                                   : _prog + " " + _subcommand;
+        return _prog + " " + _subcommand;
     }
 
     const Flag *
@@ -218,9 +215,8 @@ class FlagParser
                      arg.empty() || arg[0] != '-' ? "argument"
                                                   : "option",
                      arg.c_str());
-        std::fprintf(stderr, "run '%s%s%s --help' for usage\n",
-                     _prog.c_str(), _subcommand.empty() ? "" : " ",
-                     _subcommand.c_str());
+        std::fprintf(stderr, "run '%s --help' for usage\n",
+                     context().c_str());
         return ParseStatus::ExitUsage;
     }
 
