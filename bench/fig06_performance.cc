@@ -29,11 +29,7 @@ using namespace chex::bench;
 int
 main()
 {
-    const std::vector<VariantKind> kinds = {
-        VariantKind::Baseline,          VariantKind::HardwareOnly,
-        VariantKind::BinaryTranslation, VariantKind::MicrocodeAlwaysOn,
-        VariantKind::MicrocodePrediction, VariantKind::Asan,
-    };
+    const std::vector<VariantKind> &kinds = allVariants();
 
     std::printf("Figure 6 (top): Normalized Performance "
                 "(baseline = 1.00, lower is slower)\n\n");

@@ -68,14 +68,6 @@ timedRun(const BenchmarkProfile &profile, VariantKind kind,
 int
 main()
 {
-    const std::vector<VariantKind> kinds = {
-        VariantKind::Baseline,        VariantKind::HardwareOnly,
-        VariantKind::BinaryTranslation,
-        VariantKind::MicrocodeAlwaysOn,
-        VariantKind::MicrocodePrediction,
-        VariantKind::Asan,
-    };
-
     BenchmarkProfile profile =
         profileByName("xalancbmk").scaledBy(bench::scale());
 
@@ -90,7 +82,7 @@ main()
                  "macro-ops", "uops", "best s", "uops/s");
 
     json::Value rows = json::Value::array();
-    for (VariantKind kind : kinds) {
+    for (VariantKind kind : allVariants()) {
         RunResult best{};
         double best_s = 0.0;
         for (int rep = 0; rep < Reps; ++rep) {

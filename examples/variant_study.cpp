@@ -32,16 +32,10 @@ main(int argc, char **argv)
                 profile.chaseDepth,
                 patternName(profile.dominantPattern));
 
-    const VariantKind kinds[] = {
-        VariantKind::Baseline,          VariantKind::HardwareOnly,
-        VariantKind::BinaryTranslation, VariantKind::MicrocodeAlwaysOn,
-        VariantKind::MicrocodePrediction, VariantKind::Asan,
-    };
-
     Table t({"variant", "cycles", "slowdown", "uop exp", "checks",
              "cap$ miss", "alias$ miss", "pred acc"});
     uint64_t base_cycles = 0, base_uops = 0;
-    for (VariantKind kind : kinds) {
+    for (VariantKind kind : allVariants()) {
         SystemConfig cfg;
         cfg.variant.kind = kind;
         System sys(cfg);

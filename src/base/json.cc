@@ -559,5 +559,76 @@ getString(const Value &obj, const std::string &key,
     return v && v->isString() ? v->str() : dflt;
 }
 
+const Value *
+member(const Value &obj, const char *key, Value::Kind kind,
+       std::string *err)
+{
+    const Value *m = obj.find(key);
+    if (m && m->kind() == kind)
+        return m;
+    if (err)
+        *err = csprintf("member '%s' is %s", key,
+                        m ? "mistyped" : "missing");
+    return nullptr;
+}
+
+bool
+require(const Value &obj, const char *key, bool &out, std::string *err)
+{
+    const Value *m = member(obj, key, Value::Kind::Bool, err);
+    if (m)
+        out = m->boolean();
+    return m != nullptr;
+}
+
+bool
+require(const Value &obj, const char *key, std::string &out,
+        std::string *err)
+{
+    const Value *m = member(obj, key, Value::Kind::String, err);
+    if (m)
+        out = m->str();
+    return m != nullptr;
+}
+
+bool
+require(const Value &obj, const char *key, int &out, std::string *err)
+{
+    const Value *m = member(obj, key, Value::Kind::Number, err);
+    if (m)
+        out = static_cast<int>(m->number());
+    return m != nullptr;
+}
+
+bool
+require(const Value &obj, const char *key, unsigned &out,
+        std::string *err)
+{
+    const Value *m = member(obj, key, Value::Kind::Number, err);
+    if (m)
+        out = static_cast<unsigned>(m->asUint64());
+    return m != nullptr;
+}
+
+bool
+require(const Value &obj, const char *key, uint64_t &out,
+        std::string *err)
+{
+    const Value *m = member(obj, key, Value::Kind::Number, err);
+    if (m)
+        out = m->asUint64();
+    return m != nullptr;
+}
+
+bool
+require(const Value &obj, const char *key, double &out,
+        std::string *err)
+{
+    const Value *m = member(obj, key, Value::Kind::Number, err);
+    if (m)
+        out = m->number();
+    return m != nullptr;
+}
+
 } // namespace json
 } // namespace chex

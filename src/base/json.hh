@@ -176,6 +176,31 @@ std::string getString(const Value &obj, const std::string &key,
                       const std::string &dflt);
 /** @} */
 
+/**
+ * @{ @name Strict parse→struct helpers
+ *
+ * For readers that must refuse rather than default: member() is
+ * member @p key of @p obj when it is present with @p kind, otherwise
+ * nullptr with @p err (if non-null) naming the missing or mistyped
+ * member; require() reads such a member into @p out and returns
+ * false when it cannot.
+ */
+const Value *member(const Value &obj, const char *key, Value::Kind kind,
+                    std::string *err);
+bool require(const Value &obj, const char *key, bool &out,
+             std::string *err);
+bool require(const Value &obj, const char *key, std::string &out,
+             std::string *err);
+bool require(const Value &obj, const char *key, int &out,
+             std::string *err);
+bool require(const Value &obj, const char *key, unsigned &out,
+             std::string *err);
+bool require(const Value &obj, const char *key, uint64_t &out,
+             std::string *err);
+bool require(const Value &obj, const char *key, double &out,
+             std::string *err);
+/** @} */
+
 } // namespace json
 } // namespace chex
 

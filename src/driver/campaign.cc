@@ -145,8 +145,7 @@ runSpecFromSnapshot(const JobSpec &spec, uint64_t seed,
     }
     System sys(spec.config);
     std::string err;
-    if (!snapshot::restoreEntry(entry, spec.profile, spec.config,
-                                &sys, &err)) {
+    if (!snapshot::restoreEntry(entry, spec.profile, &sys, &err)) {
         throw std::runtime_error(
             csprintf("cannot restore snapshot for '%s': %s",
                      spec.label.c_str(), err.c_str()));
@@ -276,6 +275,40 @@ executeJob(const JobSpec &spec, size_t index,
 
 } // namespace
 
+void
+summarize(CampaignReport &report)
+{
+    report.jobsRun = report.jobsCached = report.jobsFromSnapshot = 0;
+    report.jobsFailed = report.jobsSkipped = 0;
+    report.serialSeconds = 0.0;
+    report.totalCycles = report.totalUops = 0;
+    for (const JobResult &jr : report.jobs) {
+        if (jr.skipped) {
+            report.jobsSkipped++;
+            continue;
+        }
+        report.jobsRun++;
+        report.serialSeconds += jr.wallSeconds;
+        if (jr.cached)
+            report.jobsCached++;
+        if (jr.fromSnapshot)
+            report.jobsFromSnapshot++;
+        if (jr.failed) {
+            report.jobsFailed++;
+            continue;
+        }
+        report.totalCycles += jr.run.cycles;
+        report.totalUops += jr.run.uops;
+    }
+    report.speedup = report.wallSeconds > 0.0
+                         ? report.serialSeconds / report.wallSeconds
+                         : 0.0;
+    report.aggregateIpc =
+        report.totalCycles
+            ? static_cast<double>(report.totalUops) / report.totalCycles
+            : 0.0;
+}
+
 CampaignReport
 runCampaign(const std::vector<JobSpec> &jobs,
             const CampaignOptions &opts)
@@ -390,31 +423,7 @@ runCampaign(const std::vector<JobSpec> &jobs,
     }
 
     report.wallSeconds = secondsSince(campaign_start);
-    for (const JobResult &jr : report.jobs) {
-        if (jr.skipped) {
-            report.jobsSkipped++;
-            continue;
-        }
-        report.jobsRun++;
-        report.serialSeconds += jr.wallSeconds;
-        if (jr.cached)
-            report.jobsCached++;
-        if (jr.fromSnapshot)
-            report.jobsFromSnapshot++;
-        if (jr.failed) {
-            report.jobsFailed++;
-            continue;
-        }
-        report.totalCycles += jr.run.cycles;
-        report.totalUops += jr.run.uops;
-    }
-    report.speedup = report.wallSeconds > 0.0
-                         ? report.serialSeconds / report.wallSeconds
-                         : 0.0;
-    report.aggregateIpc =
-        report.totalCycles
-            ? static_cast<double>(report.totalUops) / report.totalCycles
-            : 0.0;
+    summarize(report);
     return report;
 }
 

@@ -315,6 +315,14 @@ struct CampaignOptions
  */
 uint64_t jobSeed(uint64_t campaign_seed, size_t index);
 
+/**
+ * Recompute the summary of @p report (job counts, serial seconds,
+ * cycle and µop totals, speedup, aggregate IPC) from its job rows
+ * and wallSeconds. runCampaign and mergeReports both summarize
+ * through this, so a merged report's summary is the unsharded run's.
+ */
+void summarize(CampaignReport &report);
+
 /** Run @p jobs to completion on the worker pool. */
 CampaignReport runCampaign(const std::vector<JobSpec> &jobs,
                            const CampaignOptions &opts = {});

@@ -136,25 +136,7 @@ mergeReports(const std::vector<CampaignReport> &shards,
         out.wallSeconds = std::max(out.wallSeconds,
                                    shard.wallSeconds);
     }
-    for (const JobResult &jr : out.jobs) {
-        out.jobsRun++;
-        out.serialSeconds += jr.wallSeconds;
-        if (jr.cached)
-            out.jobsCached++;
-        if (jr.failed) {
-            out.jobsFailed++;
-            continue;
-        }
-        out.totalCycles += jr.run.cycles;
-        out.totalUops += jr.run.uops;
-    }
-    out.speedup = out.wallSeconds > 0.0
-                      ? out.serialSeconds / out.wallSeconds
-                      : 0.0;
-    out.aggregateIpc =
-        out.totalCycles ? static_cast<double>(out.totalUops) /
-                              out.totalCycles
-                        : 0.0;
+    summarize(out);
     return true;
 }
 

@@ -174,68 +174,6 @@ failParse(std::string *err, const char *what)
     return false;
 }
 
-/**
- * Member @p key of @p obj when it is present with @p kind; otherwise
- * nullptr, with @p err naming the missing or mistyped member.
- */
-const json::Value *
-member(const json::Value &obj, const char *key, json::Value::Kind kind,
-       std::string *err)
-{
-    const json::Value *m = obj.find(key);
-    if (m && m->kind() == kind)
-        return m;
-    if (err)
-        *err = csprintf("report: member '%s' is %s", key,
-                        m ? "mistyped" : "missing");
-    return nullptr;
-}
-
-/** @{ Read a required member into @p out; false (with @p err) if not. */
-bool
-require(const json::Value &obj, const char *key, bool &out,
-        std::string *err)
-{
-    const json::Value *m = member(obj, key, json::Value::Kind::Bool, err);
-    if (m)
-        out = m->boolean();
-    return m != nullptr;
-}
-
-bool
-require(const json::Value &obj, const char *key, std::string &out,
-        std::string *err)
-{
-    const json::Value *m =
-        member(obj, key, json::Value::Kind::String, err);
-    if (m)
-        out = m->str();
-    return m != nullptr;
-}
-
-bool
-require(const json::Value &obj, const char *key, int &out,
-        std::string *err)
-{
-    const json::Value *m =
-        member(obj, key, json::Value::Kind::Number, err);
-    if (m)
-        out = static_cast<int>(m->number());
-    return m != nullptr;
-}
-
-bool
-require(const json::Value &obj, const char *key, unsigned &out,
-        std::string *err)
-{
-    const json::Value *m =
-        member(obj, key, json::Value::Kind::Number, err);
-    if (m)
-        out = static_cast<unsigned>(m->asUint64());
-    return m != nullptr;
-}
-/** @} */
-
 Violation
 violationFromName(const std::string &name)
 {
@@ -351,10 +289,10 @@ fromJson(const json::Value &v, JobResult &out, std::string *err)
     // Attack-case ID: absent on workload jobs.
     out.attack = json::getString(v, "attack", "");
     std::string spec_hash, status;
-    if (!require(v, "specHash", spec_hash, err) ||
-        !require(v, "cached", out.cached, err) ||
-        !require(v, "fromSnapshot", out.fromSnapshot, err) ||
-        !require(v, "status", status, err)) {
+    if (!json::require(v, "specHash", spec_hash, err) ||
+        !json::require(v, "cached", out.cached, err) ||
+        !json::require(v, "fromSnapshot", out.fromSnapshot, err) ||
+        !json::require(v, "status", status, err)) {
         return false;
     }
     out.specHash = specHashFromHex(spec_hash);
@@ -375,9 +313,9 @@ fromJson(const json::Value &v, JobResult &out, std::string *err)
     if (out.failed) {
         out.error = json::getString(v, "error", "");
         std::string cause;
-        if (!require(v, "cause", cause, err) ||
-            !require(v, "exitCode", out.exitCode, err) ||
-            !require(v, "signal", out.termSignal, err)) {
+        if (!json::require(v, "cause", cause, err) ||
+            !json::require(v, "exitCode", out.exitCode, err) ||
+            !json::require(v, "signal", out.termSignal, err)) {
             return false;
         }
         out.cause = failureCauseFromName(cause);
@@ -405,9 +343,10 @@ fromJson(const json::Value &v, CampaignReport &out, std::string *err)
     out.workers =
         static_cast<unsigned>(json::getUint(v, "workers", 0));
     const json::Value *shard =
-        member(v, "shard", json::Value::Kind::Object, err);
-    if (!shard || !require(*shard, "index", out.shardIndex, err) ||
-        !require(*shard, "count", out.shardCount, err)) {
+        json::member(v, "shard", json::Value::Kind::Object, err);
+    if (!shard ||
+        !json::require(*shard, "index", out.shardIndex, err) ||
+        !json::require(*shard, "count", out.shardCount, err)) {
         return false;
     }
     if (out.shardCount == 0 || out.shardIndex >= out.shardCount)

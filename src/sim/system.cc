@@ -235,18 +235,36 @@ System::interceptExit(IntrinsicKind kind, uint64_t pc)
     }
 }
 
+unsigned
+System::checkCapability(Pid pid, uint64_t ea, uint8_t size,
+                        bool is_write, uint64_t pc)
+{
+    unsigned fill = 0;
+    const bool tracked = pid != NoPid && pid != WildPid;
+    if (tracked) {
+        if (!capCache.lookup(pid))
+            fill = hier.shadowAccess(capShadowAddr(pid));
+        intervalPids.insert(pid);
+    }
+    ++result.capChecksInjected;
+
+    CheckResult cr = capTable.check(pid, ea, size, is_write);
+    if (!cr.ok()) {
+        raise(cr.violation, pc, ea, pid);
+    } else if (cfg.detectUninitializedReads && tracked) {
+        if (is_write)
+            capTable.markInitialized(pid, ea, size);
+        else if (!capTable.isInitialized(pid, ea, size))
+            raise(Violation::UninitializedRead, pc, ea, pid);
+    }
+    return fill;
+}
+
 void
 System::injectCapCheck(Pid pid, uint64_t ea, uint8_t size,
                        bool is_write, RegId base_reg, uint64_t pc)
 {
-    unsigned extra = 0;
-    if (pid != NoPid && pid != WildPid) {
-        bool hit = capCache.lookup(pid);
-        if (!hit)
-            extra = hier.shadowAccess(capShadowAddr(pid));
-        intervalPids.insert(pid);
-    }
-
+    unsigned fill = checkCapability(pid, ea, size, is_write, pc);
     StaticUop chk;
     chk.type = UopType::CapCheck;
     chk.src1 = base_reg;
@@ -254,61 +272,40 @@ System::injectCapCheck(Pid pid, uint64_t ea, uint8_t size,
     UopTimingIn tin;
     tin.uop = &chk;
     tin.effAddr = ea;
-    tin.extraLatency = CapabilityCache::HitLatency - 1 + extra;
+    tin.extraLatency = CapabilityCache::HitLatency - 1 + fill;
     corePtr->addUop(tin);
     ++result.injectedUops;
-    ++result.capChecksInjected;
-
-    CheckResult cr = capTable.check(pid, ea, size, is_write);
-    if (!cr.ok()) {
-        raise(cr.violation, pc, ea, pid);
-        return;
-    }
-    if (cfg.detectUninitializedReads && pid != NoPid &&
-        pid != WildPid) {
-        if (is_write)
-            capTable.markInitialized(pid, ea, size);
-        else if (!capTable.isInitialized(pid, ea, size))
-            raise(Violation::UninitializedRead, pc, ea, pid);
-    }
 }
 
 void
 System::emitSyntheticChecks(const MacroInst &mi, uint64_t pc)
 {
-    MacroBranchInfo no_branch;
-    if (cfg.variant.kind == VariantKind::BinaryTranslation) {
+    // Binary translation: one lea + capcheck macro per memory
+    // operand. ASan: the shadow-probe macros, then the functional
+    // poison check.
+    const bool bt = cfg.variant.kind == VariantKind::BinaryTranslation;
+    if (bt)
         btCheckSequenceInto(btSeqBuf, mi.mem);
-        const SyntheticMacro &m = btSeqBuf;
-        corePtr->beginMacro(pc + 1, DecodePath::Complex, no_branch);
-        uint64_t ea = ms.effectiveAddr(mi.mem);
-        Pid pid = NoPid;
-        if (mi.mem.hasBase() && !mi.mem.ripRelative)
-            pid = trackerPtr->regPid(mi.mem.base);
-        for (const auto &u : m.uops) {
+    else
+        asanCheckSequenceInto(asanSeqBuf, mi.mem,
+                              cfg.variant.asanShadowBase);
+    const std::vector<SyntheticMacro> &macros = bt ? btSeqBuf : asanSeqBuf;
+
+    uint64_t ea = ms.effectiveAddr(mi.mem);
+    Pid pid = NoPid;
+    if (bt && mi.mem.hasBase() && !mi.mem.ripRelative)
+        pid = trackerPtr->regPid(mi.mem.base);
+    MacroBranchInfo no_branch;
+    for (size_t i = 0; i < macros.size(); ++i) {
+        corePtr->beginMacro(pc + 1 + i,
+                            bt ? DecodePath::Complex : DecodePath::Simple,
+                            no_branch);
+        for (const auto &u : macros[i].uops) {
             if (u.type == UopType::CapCheck) {
                 injectCapCheck(pid, ea, mi.size, mi.isStore(),
                                mi.mem.base, pc);
-            } else {
-                UopEffect eff = ms.execute(u, 0);
-                UopTimingIn tin;
-                tin.uop = &u;
-                tin.effAddr = eff.effAddr;
-                corePtr->addUop(tin);
-                ++result.injectedUops;
+                continue;
             }
-        }
-        corePtr->endMacro(false, 0);
-        return;
-    }
-
-    // ASan: three synthetic check macros per memory operand.
-    asanCheckSequenceInto(asanSeqBuf, mi.mem,
-                          cfg.variant.asanShadowBase);
-    const auto &macros = asanSeqBuf;
-    for (size_t i = 0; i < macros.size(); ++i) {
-        corePtr->beginMacro(pc + 1 + i, DecodePath::Simple, no_branch);
-        for (const auto &u : macros[i].uops) {
             UopEffect eff = ms.execute(u, 0);
             UopTimingIn tin;
             tin.uop = &u;
@@ -321,8 +318,7 @@ System::emitSyntheticChecks(const MacroInst &mi, uint64_t pc)
 
     // Functional ASan detection: poisoned bytes (redzones, freed
     // memory in quarantine) flag the access.
-    uint64_t ea = ms.effectiveAddr(mi.mem);
-    if (heapAlloc.isPoisoned(ea, mi.size))
+    if (!bt && heapAlloc.isPoisoned(ea, mi.size))
         raise(Violation::OutOfBounds, pc, ea, NoPid);
 }
 
@@ -539,36 +535,16 @@ System::stepLoop(uint64_t stop_at)
                     injectCapCheck(base_pid, ea, u.memSize,
                                    u.isStore(), u.mem.base, pc);
                     break;
-                  case VariantKind::HardwareOnly: {
+                  case VariantKind::HardwareOnly:
                     // Checks fold into the LSU and gate the access:
                     // their full latency — including shadow-table
                     // fills on capability-cache misses — sits on the
                     // load/store critical path.
-                    CheckResult cr = capTable.check(
-                        base_pid, ea, u.memSize, u.isStore());
-                    lsu_check_lat = CapabilityCache::HitLatency;
-                    if (base_pid != NoPid && base_pid != WildPid) {
-                        if (!capCache.lookup(base_pid))
-                            lsu_check_lat +=
-                                hier.shadowAccess(capShadowAddr(base_pid));
-                        intervalPids.insert(base_pid);
-                    }
-                    ++result.capChecksInjected;
-                    if (!cr.ok()) {
-                        raise(cr.violation, pc, ea, base_pid);
-                    } else if (cfg.detectUninitializedReads &&
-                               base_pid != NoPid &&
-                               base_pid != WildPid) {
-                        if (u.isStore())
-                            capTable.markInitialized(base_pid, ea,
-                                                     u.memSize);
-                        else if (!capTable.isInitialized(base_pid, ea,
-                                                         u.memSize))
-                            raise(Violation::UninitializedRead, pc,
-                                  ea, base_pid);
-                    }
+                    lsu_check_lat =
+                        CapabilityCache::HitLatency +
+                        checkCapability(base_pid, ea, u.memSize,
+                                        u.isStore(), pc);
                     break;
-                  }
                   case VariantKind::BinaryTranslation:
                     // Checked by the preceding synthetic macro.
                     break;
@@ -945,81 +921,89 @@ System::restoreSnapshot(const json::Value &v, std::string *err)
         return trackerPtr->restoreState(s);
     });
 
-    // Orchestrator run state.
-    seq = json::getUint(m, "seq", 0);
-    macroCount = json::getUint(m, "macroCount", 0);
-    pc = json::getUint(m, "pc", 0);
+    // Orchestrator run state. Every member is required: a snapshot
+    // missing one (or holding a mistyped one) is refused by name,
+    // never restored with a default.
+    using Kind = json::Value::Kind;
+    auto need = [&bad](const json::Value &obj, const char *key,
+                       auto &out, const char *within = nullptr) {
+        if (!json::require(obj, key, out, nullptr))
+            bad.push_back(within ? std::string(within) + "." + key
+                                 : std::string(key));
+    };
+    // The items of array member @p key when each is of @p kind;
+    // otherwise nullptr, with @p key reported.
+    auto items = [&bad](const json::Value &obj, const char *key,
+                        Kind kind) -> const std::vector<json::Value> * {
+        const json::Value *a = json::member(obj, key, Kind::Array,
+                                            nullptr);
+        if (a && std::all_of(a->items().begin(), a->items().end(),
+                             [kind](const json::Value &e) {
+                                 return e.kind() == kind;
+                             }))
+            return &a->items();
+        bad.push_back(key);
+        return nullptr;
+    };
+    need(m, "seq", seq);
+    need(m, "macroCount", macroCount);
+    need(m, "pc", pc);
+    need(m, "intervalMacros", intervalMacros);
+    need(m, "intervalSamples", intervalSamples);
+    need(m, "intervalPidSum", intervalPidSum);
 
     pending.clear();
-    const json::Value *jp = m.find("pending");
-    if (jp && jp->isArray()) {
-        for (const auto &e : jp->items()) {
+    if (auto *jp = items(m, "pending", Kind::Object)) {
+        for (const json::Value &e : *jp) {
             PendingAlloc p;
-            p.kind = static_cast<IntrinsicKind>(
-                json::getUint(e, "kind", 0));
-            p.genPid =
-                static_cast<Pid>(json::getUint(e, "genPid", NoPid));
-            p.freePid =
-                static_cast<Pid>(json::getUint(e, "freePid", NoPid));
+            unsigned kind = 0;
+            need(e, "kind", kind, "pending");
+            need(e, "genPid", p.genPid, "pending");
+            need(e, "freePid", p.freePid, "pending");
+            p.kind = static_cast<IntrinsicKind>(kind);
             pending.push_back(p);
         }
-    } else {
-        bad.push_back("pending");
     }
 
     intervalPids.clear();
-    const json::Value *jpids = m.find("intervalPids");
-    if (jpids && jpids->isArray()) {
-        for (const auto &e : jpids->items())
+    if (auto *jpids = items(m, "intervalPids", Kind::Number)) {
+        for (const json::Value &e : *jpids)
             intervalPids.insert(static_cast<Pid>(e.asUint64()));
-    } else {
-        bad.push_back("intervalPids");
     }
-    intervalMacros = json::getUint(m, "intervalMacros", 0);
-    intervalSamples = json::getUint(m, "intervalSamples", 0);
-    intervalPidSum = json::getDouble(m, "intervalPidSum", 0.0);
 
     btTranslated.assign(prog.code.size(), false);
-    const json::Value *jbt = m.find("btTranslated");
-    if (jbt && jbt->isArray()) {
-        for (const auto &e : jbt->items()) {
+    if (auto *jbt = items(m, "btTranslated", Kind::Number)) {
+        for (const json::Value &e : *jbt) {
             uint64_t idx = e.asUint64();
             if (idx < btTranslated.size())
                 btTranslated[idx] = true;
             else
                 bad.push_back("btTranslated");
         }
-    } else {
-        bad.push_back("btTranslated");
     }
 
     result = RunResult{};
-    const json::Value *jr = m.find("result");
-    if (jr && jr->isObject()) {
-        result.violationDetected =
-            json::getBool(*jr, "violationDetected", false);
-        const json::Value *jv = jr->find("violations");
-        if (jv && jv->isArray()) {
-            for (const auto &e : jv->items()) {
+    if (const json::Value *jr =
+            json::member(m, "result", Kind::Object, nullptr)) {
+        need(*jr, "violationDetected", result.violationDetected);
+        if (auto *jv = items(*jr, "violations", Kind::Object)) {
+            for (const json::Value &e : *jv) {
                 ViolationRecord vr;
-                vr.kind = static_cast<Violation>(
-                    json::getUint(e, "kind", 0));
-                vr.pc = json::getUint(e, "pc", 0);
-                vr.addr = json::getUint(e, "addr", 0);
-                vr.pid =
-                    static_cast<Pid>(json::getUint(e, "pid", NoPid));
+                unsigned kind = 0;
+                need(e, "kind", kind, "violations");
+                need(e, "pc", vr.pc, "violations");
+                need(e, "addr", vr.addr, "violations");
+                need(e, "pid", vr.pid, "violations");
+                vr.kind = static_cast<Violation>(kind);
                 result.violations.push_back(vr);
             }
         }
-        result.injectedUops = json::getUint(*jr, "injectedUops", 0);
-        result.capChecksInjected =
-            json::getUint(*jr, "capChecksInjected", 0);
-        result.zeroIdiomChecks =
-            json::getUint(*jr, "zeroIdiomChecks", 0);
-        result.pna0ZeroIdioms =
-            json::getUint(*jr, "pna0ZeroIdioms", 0);
-        result.p0anFlushes = json::getUint(*jr, "p0anFlushes", 0);
-        result.pmanForwards = json::getUint(*jr, "pmanForwards", 0);
+        need(*jr, "injectedUops", result.injectedUops);
+        need(*jr, "capChecksInjected", result.capChecksInjected);
+        need(*jr, "zeroIdiomChecks", result.zeroIdiomChecks);
+        need(*jr, "pna0ZeroIdioms", result.pna0ZeroIdioms);
+        need(*jr, "p0anFlushes", result.p0anFlushes);
+        need(*jr, "pmanForwards", result.pmanForwards);
     } else {
         bad.push_back("result");
     }

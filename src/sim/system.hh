@@ -245,6 +245,14 @@ class System
     /** MCU interception of registered exit points. */
     void interceptExit(IntrinsicKind kind, uint64_t pc);
 
+    /**
+     * Evaluate one capability check against @p pid: capability-cache
+     * lookup (shadow fill on a miss), bounds/permission check, then
+     * the uninitialized-read bitmap. Returns the shadow-fill latency.
+     */
+    unsigned checkCapability(Pid pid, uint64_t ea, uint8_t size,
+                             bool is_write, uint64_t pc);
+
     /** Inject + evaluate one capability-check micro-op. */
     void injectCapCheck(Pid pid, uint64_t ea, uint8_t size,
                         bool is_write, RegId base_reg, uint64_t pc);
@@ -295,7 +303,7 @@ class System
     // the per-call fields in place instead of rebuilding the
     // micro-op vectors for every instrumented macro-op.
     std::vector<SyntheticMacro> asanSeqBuf;
-    SyntheticMacro btSeqBuf;
+    std::vector<SyntheticMacro> btSeqBuf;
 
     // Run state
     bool running = false;

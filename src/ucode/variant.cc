@@ -3,46 +3,88 @@
 namespace chex
 {
 
+namespace
+{
+
+struct VariantRow
+{
+    VariantKind kind;
+    const char *name;
+    const char *token;
+};
+
+// Figure 6 legend order.
+constexpr VariantRow Variants[] = {
+    {VariantKind::Baseline, "Insecure BaseLine", "baseline"},
+    {VariantKind::HardwareOnly, "CHEx86: Hardware Only", "hw-only"},
+    {VariantKind::BinaryTranslation, "CHEx86: Binary Translation",
+     "bintrans"},
+    {VariantKind::MicrocodeAlwaysOn,
+     "CHEx86: Micro-code Level - Always On", "ucode-always"},
+    {VariantKind::MicrocodePrediction,
+     "CHEx86: Micro-code Prediction Driven", "ucode-pred"},
+    {VariantKind::Asan, "ASan", "asan"},
+};
+
+const VariantRow *
+rowOf(VariantKind kind)
+{
+    for (const VariantRow &r : Variants)
+        if (r.kind == kind)
+            return &r;
+    return nullptr;
+}
+
+} // namespace
+
+const std::vector<VariantKind> &
+allVariants()
+{
+    static const std::vector<VariantKind> all = [] {
+        std::vector<VariantKind> kinds;
+        for (const VariantRow &r : Variants)
+            kinds.push_back(r.kind);
+        return kinds;
+    }();
+    return all;
+}
+
 const char *
 variantName(VariantKind kind)
 {
-    switch (kind) {
-      case VariantKind::Baseline: return "Insecure BaseLine";
-      case VariantKind::HardwareOnly: return "CHEx86: Hardware Only";
-      case VariantKind::BinaryTranslation:
-        return "CHEx86: Binary Translation";
-      case VariantKind::MicrocodeAlwaysOn:
-        return "CHEx86: Micro-code Level - Always On";
-      case VariantKind::MicrocodePrediction:
-        return "CHEx86: Micro-code Prediction Driven";
-      case VariantKind::Asan: return "ASan";
-      default: return "???";
-    }
+    const VariantRow *r = rowOf(kind);
+    return r ? r->name : "???";
+}
+
+const char *
+variantToken(VariantKind kind)
+{
+    const VariantRow *r = rowOf(kind);
+    return r ? r->token : "???";
 }
 
 bool
 variantFromName(const std::string &name, VariantKind *out)
 {
-    static const VariantKind all[] = {
-        VariantKind::Baseline,          VariantKind::HardwareOnly,
-        VariantKind::BinaryTranslation, VariantKind::MicrocodeAlwaysOn,
-        VariantKind::MicrocodePrediction, VariantKind::Asan,
-    };
-    for (VariantKind kind : all) {
-        if (name == variantName(kind)) {
-            *out = kind;
+    for (const VariantRow &r : Variants) {
+        if (name == r.name) {
+            *out = r.kind;
             return true;
         }
     }
     return false;
 }
 
-std::vector<SyntheticMacro>
-asanCheckSequence(const MemOperand &mem, uint64_t shadow_base)
+bool
+variantFromToken(const std::string &token, VariantKind *out)
 {
-    std::vector<SyntheticMacro> macros;
-    asanCheckSequenceInto(macros, mem, shadow_base);
-    return macros;
+    for (const VariantRow &r : Variants) {
+        if (token == r.token) {
+            *out = r.kind;
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -110,21 +152,15 @@ asanCheckSequenceInto(std::vector<SyntheticMacro> &macros,
     macros[3].uops.push_back(jne);
 }
 
-SyntheticMacro
-btCheckSequence(const MemOperand &mem)
-{
-    SyntheticMacro macro;
-    btCheckSequenceInto(macro, mem);
-    return macro;
-}
-
 void
-btCheckSequenceInto(SyntheticMacro &macro, const MemOperand &mem)
+btCheckSequenceInto(std::vector<SyntheticMacro> &macros,
+                    const MemOperand &mem)
 {
-    if (!macro.uops.empty()) {
-        macro.uops[0].mem = mem;
+    if (!macros.empty()) {
+        macros[0].uops[0].mem = mem;
         return;
     }
+    macros.resize(1);
 
     StaticUop lea;
     lea.type = UopType::Lea;
@@ -132,13 +168,13 @@ btCheckSequenceInto(SyntheticMacro &macro, const MemOperand &mem)
     lea.mem = mem;
     lea.hasMem = true;
     lea.synthetic = true;
-    macro.uops.push_back(lea);
+    macros[0].uops.push_back(lea);
 
     StaticUop check;
     check.type = UopType::CapCheck;
     check.src1 = T1;
     check.synthetic = true;
-    macro.uops.push_back(check);
+    macros[0].uops.push_back(check);
 }
 
 } // namespace chex

@@ -34,14 +34,31 @@ enum class VariantKind : uint8_t
     Asan,                // AddressSanitizer model
 };
 
+/**
+ * @{ @name The variant table
+ *
+ * One row per variant — {kind, Figure 6 legend name, CLI token} — in
+ * legend order. Adding a variant is one row here plus its System
+ * hooks; every sweep, list and name lookup reads this table.
+ */
+/** Every variant, in Figure 6 legend order. */
+const std::vector<VariantKind> &allVariants();
+
 /** Printable variant name (Figure 6 legend). */
 const char *variantName(VariantKind kind);
+
+/** Short command-line token ("baseline", "ucode-pred", ...). */
+const char *variantToken(VariantKind kind);
 
 /**
  * Reverse of variantName, for reconstructing specs from report rows.
  * Returns false when @p name is not a known variant name.
  */
 bool variantFromName(const std::string &name, VariantKind *out);
+
+/** Reverse of variantToken; false when @p token is unknown. */
+bool variantFromToken(const std::string &token, VariantKind *out);
+/** @} */
 
 /** True for the variants that use capability machinery. */
 constexpr bool
@@ -114,30 +131,24 @@ struct SyntheticMacro
  *   cmp   t2, 0 -> t2        ; poisoned? (branch folded; always
  *                              well-predicted in violation-free runs)
  * Modelled as three synthetic macros totalling four micro-ops.
- */
-std::vector<SyntheticMacro> asanCheckSequence(const MemOperand &mem,
-                                              uint64_t shadow_base);
-
-/**
- * In-place asanCheckSequence: fills @p macros on first use and
- * afterwards only re-patches the fields that vary per call (the
- * memory operand and shadow base). The instrumentation loop runs
- * once per protected memory macro-op, and rebuilding the vectors
- * from scratch dominated its cost.
+ *
+ * Built in place: fills @p macros on first use and afterwards only
+ * re-patches the fields that vary per call (the memory operand and
+ * shadow base). The instrumentation loop runs once per protected
+ * memory macro-op, and rebuilding the vectors from scratch dominated
+ * its cost.
  */
 void asanCheckSequenceInto(std::vector<SyntheticMacro> &macros,
                            const MemOperand &mem, uint64_t shadow_base);
 
 /**
  * The binary-translation check: one extra macro-instruction using a
- * secure ISA extension —
+ * secure ISA extension, built in place like asanCheckSequenceInto —
  *   lea      t1, [mem]
  *   capcheck t1
  */
-SyntheticMacro btCheckSequence(const MemOperand &mem);
-
-/** In-place btCheckSequence (see asanCheckSequenceInto). */
-void btCheckSequenceInto(SyntheticMacro &macro, const MemOperand &mem);
+void btCheckSequenceInto(std::vector<SyntheticMacro> &macros,
+                         const MemOperand &mem);
 
 } // namespace chex
 

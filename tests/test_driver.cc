@@ -1098,8 +1098,9 @@ TEST(Shard, ShardReportJsonRoundTrips)
         const json::Value &job = jarr.at(i);
         EXPECT_EQ(job.at("status").str(),
                   i % 2 == 0 ? "ok" : "skipped");
-        if (i % 2 != 0)
+        if (i % 2 != 0) {
             EXPECT_EQ(job.find("result"), nullptr);
+        }
     }
 
     driver::CampaignReport back;
@@ -1524,6 +1525,38 @@ TEST(SnapshotCampaign, FoldedHashesKeepTheCacheModesApart)
     driver::CampaignReport r3 =
         driver::runCampaign(jobs, fanned_self);
     EXPECT_EQ(r3.jobsCached, jobs.size());
+}
+
+TEST(Merge, FromSnapshotShardsKeepSnapshotCount)
+{
+    const uint64_t seed = 9;
+    std::vector<driver::JobSpec> jobs = pinnedMatrix(seed, 50);
+
+    driver::CampaignOptions opts;
+    opts.workers = 2;
+    opts.seed = seed;
+    opts.snapshot = bundleFor(jobs, seed, 500);
+    driver::CampaignReport whole = driver::runCampaign(jobs, opts);
+    ASSERT_EQ(whole.jobsFromSnapshot, jobs.size());
+
+    std::vector<driver::CampaignReport> shards;
+    for (unsigned i = 0; i < 2; ++i) {
+        opts.shardIndex = i;
+        opts.shardCount = 2;
+        shards.push_back(driver::runCampaign(jobs, opts));
+    }
+    driver::CampaignReport merged;
+    std::string err;
+    ASSERT_TRUE(driver::mergeReports(shards, merged, &err)) << err;
+
+    // The merged summary is the unsharded run's, count for count.
+    EXPECT_EQ(merged.jobsFromSnapshot, whole.jobsFromSnapshot);
+    EXPECT_EQ(merged.jobsRun, whole.jobsRun);
+    EXPECT_EQ(merged.jobsCached, whole.jobsCached);
+    EXPECT_EQ(merged.jobsFailed, whole.jobsFailed);
+    EXPECT_EQ(merged.jobsSkipped, 0u);
+    EXPECT_EQ(merged.totalCycles, whole.totalCycles);
+    EXPECT_EQ(merged.totalUops, whole.totalUops);
 }
 
 TEST(SnapshotCampaign, ReportV5RoundTripsFromSnapshotFlag)

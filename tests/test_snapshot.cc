@@ -126,8 +126,7 @@ TEST(Snapshot, RestoreRunsBitIdentically)
         EXPECT_NE(entry.stateHash, 0u);
 
         System restored(cfg);
-        ASSERT_TRUE(
-            snapshot::restoreEntry(entry, p, cfg, &restored, &err))
+        ASSERT_TRUE(snapshot::restoreEntry(entry, p, &restored, &err))
             << err;
         ASSERT_TRUE(restored.paused());
         RunResult b = restored.run();
@@ -151,7 +150,7 @@ TEST(Snapshot, SaveRestoreSaveIsStable)
         << err;
 
     System restored(cfg);
-    ASSERT_TRUE(snapshot::restoreEntry(entry, p, cfg, &restored, &err))
+    ASSERT_TRUE(snapshot::restoreEntry(entry, p, &restored, &err))
         << err;
     json::Value again = restored.saveSnapshot(&err);
     ASSERT_FALSE(again.isNull()) << err;
@@ -253,8 +252,7 @@ TEST(Snapshot, MismatchedRestoreRejected)
     {
         SystemConfig other = configFor(VariantKind::MicrocodeAlwaysOn);
         System sys(other);
-        EXPECT_FALSE(
-            snapshot::restoreEntry(entry, p, other, &sys, &err));
+        EXPECT_FALSE(snapshot::restoreEntry(entry, p, &sys, &err));
         EXPECT_NE(err.find("configuration mismatch"),
                   std::string::npos)
             << err;
@@ -265,8 +263,7 @@ TEST(Snapshot, MismatchedRestoreRejected)
         SystemConfig other = cfg;
         other.capCacheEntries = 16;
         System sys(other);
-        EXPECT_FALSE(
-            snapshot::restoreEntry(entry, p, other, &sys, &err));
+        EXPECT_FALSE(snapshot::restoreEntry(entry, p, &sys, &err));
         EXPECT_NE(err.find("configuration mismatch"),
                   std::string::npos)
             << err;
@@ -322,4 +319,115 @@ TEST(Snapshot, WarmupPastEndOfRunRejected)
                                       uint64_t{1} << 62, 1, &entry,
                                       &err));
     EXPECT_NE(err.find("terminated before"), std::string::npos) << err;
+}
+
+namespace
+{
+
+/** @p obj without member @p key. */
+json::Value
+without(const json::Value &obj, const std::string &key)
+{
+    json::Value out = json::Value::object();
+    for (const auto &[k, v] : obj.members())
+        if (k != key)
+            out.set(k, v);
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(Snapshot, MalformedRunStateRejectedByName)
+{
+    // Binary translation, so the warm state carries translated-code
+    // indices and in-use PIDs as well as the common run state.
+    BenchmarkProfile p = testProfile();
+    SystemConfig cfg = configFor(VariantKind::BinaryTranslation);
+    snapshot::MachineEntry entry;
+    std::string err;
+    ASSERT_TRUE(
+        snapshot::buildEntry(p, cfg, TestSeed, Warmup, 1, &entry, &err))
+        << err;
+    const json::Value &machine = entry.state.at("machine");
+    ASSERT_GT(machine.at("intervalPids").size(), 0u);
+    ASSERT_GT(machine.at("btTranslated").size(), 0u);
+
+    // Restore @p state's machine section replaced by @p m; the
+    // error must name @p name.
+    auto rejects = [&](const json::Value &m, const std::string &name) {
+        SCOPED_TRACE(name);
+        json::Value state = entry.state;
+        state.set("machine", m);
+        System sys(cfg);
+        sys.load(generateWorkload(p, TestSeed));
+        err.clear();
+        EXPECT_FALSE(sys.restoreSnapshot(state, &err));
+        EXPECT_NE(err.find(name), std::string::npos) << err;
+    };
+    const json::Value junk("junk");
+
+    for (const char *key :
+         {"seq", "macroCount", "pc", "intervalMacros", "intervalSamples",
+          "intervalPidSum", "pending", "intervalPids", "btTranslated",
+          "result"}) {
+        rejects(without(machine, key), key);
+        json::Value m = machine;
+        rejects(m.set(key, junk), key);
+    }
+    for (const char *key :
+         {"violationDetected", "violations", "injectedUops",
+          "capChecksInjected", "zeroIdiomChecks", "pna0ZeroIdioms",
+          "p0anFlushes", "pmanForwards"}) {
+        json::Value m = machine;
+        rejects(m.set("result", without(machine.at("result"), key)),
+                key);
+        json::Value r = machine.at("result");
+        rejects(m.set("result", r.set(key, junk)), key);
+    }
+
+    // Array items: non-numbers, and records missing or mistyping a
+    // member.
+    for (const char *key : {"intervalPids", "btTranslated"}) {
+        json::Value m = machine;
+        rejects(m.set(key, json::Value::array().push(junk)), key);
+    }
+    json::Value pend = json::Value::object()
+                           .set("kind", uint64_t{1})
+                           .set("genPid", uint64_t{2})
+                           .set("freePid", uint64_t{3});
+    for (const char *key : {"kind", "genPid", "freePid"}) {
+        json::Value m = machine;
+        json::Value item = pend;
+        std::string name = std::string("pending.") + key;
+        rejects(m.set("pending", json::Value::array().push(
+                                     without(pend, key))),
+                name);
+        rejects(m.set("pending",
+                      json::Value::array().push(item.set(key, junk))),
+                name);
+    }
+    json::Value viol = json::Value::object()
+                           .set("kind", uint64_t{1})
+                           .set("pc", uint64_t{2})
+                           .set("addr", uint64_t{3})
+                           .set("pid", uint64_t{4});
+    for (const char *key : {"kind", "pc", "addr", "pid"}) {
+        json::Value m = machine;
+        json::Value r = machine.at("result");
+        json::Value item = viol;
+        std::string name = std::string("violations.") + key;
+        rejects(m.set("result",
+                      r.set("violations", json::Value::array().push(
+                                              without(viol, key)))),
+                name);
+        rejects(m.set("result",
+                      r.set("violations", json::Value::array().push(
+                                              item.set(key, junk)))),
+                name);
+    }
+
+    // The untouched state still restores.
+    System sys(cfg);
+    sys.load(generateWorkload(p, TestSeed));
+    EXPECT_TRUE(sys.restoreSnapshot(entry.state, &err)) << err;
 }

@@ -4,10 +4,14 @@
  * (baseline fastest; prediction-driven beats always-on, binary
  * translation, and ASan; hardware-only loses on pointer-intensive
  * code), micro-op expansion bounds, context-sensitive enforcement,
- * and the shadow-storage model of Figure 9.
+ * the shadow-storage model of Figure 9, and the variant table every
+ * sweep and CLI token lookup reads.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "isa/assembler.hh"
 #include "sim/system.hh"
@@ -31,6 +35,46 @@ runVariant(const Program &prog, VariantKind kind,
     EXPECT_TRUE(r.exited) << variantName(kind);
     EXPECT_FALSE(r.violationDetected) << variantName(kind);
     return r;
+}
+
+TEST(Variants, TableCoversEveryKindOnce)
+{
+    // Figure 6 legend order, with the CLI tokens campaign reports,
+    // snapshot bundles and benchmark metric names are keyed by.
+    const std::pair<VariantKind, const char *> legend[] = {
+        {VariantKind::Baseline, "baseline"},
+        {VariantKind::HardwareOnly, "hw-only"},
+        {VariantKind::BinaryTranslation, "bintrans"},
+        {VariantKind::MicrocodeAlwaysOn, "ucode-always"},
+        {VariantKind::MicrocodePrediction, "ucode-pred"},
+        {VariantKind::Asan, "asan"},
+    };
+    const std::vector<VariantKind> &all = allVariants();
+    ASSERT_EQ(all.size(), std::size(legend));
+    std::set<std::string> names;
+    for (size_t i = 0; i < all.size(); ++i) {
+        VariantKind kind = all[i];
+        SCOPED_TRACE(variantName(kind));
+        EXPECT_EQ(kind, legend[i].first);
+        EXPECT_STREQ(variantToken(kind), legend[i].second);
+        VariantKind back = VariantKind::Baseline;
+        ASSERT_TRUE(variantFromName(variantName(kind), &back));
+        EXPECT_EQ(back, kind);
+        back = VariantKind::Baseline;
+        ASSERT_TRUE(variantFromToken(variantToken(kind), &back));
+        EXPECT_EQ(back, kind);
+        EXPECT_TRUE(names.insert(variantName(kind)).second);
+    }
+
+    VariantKind out = VariantKind::Asan;
+    for (const char *bad : {"", "nope", "Baseline", "ASAN"})
+        EXPECT_FALSE(variantFromName(bad, &out) ||
+                     variantFromToken(bad, &out))
+            << bad;
+    // A legend name is not a token, nor a token a legend name.
+    EXPECT_FALSE(variantFromToken("Insecure BaseLine", &out));
+    EXPECT_FALSE(variantFromName("baseline", &out));
+    EXPECT_EQ(out, VariantKind::Asan);
 }
 
 Program

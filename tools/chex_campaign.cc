@@ -1,7 +1,7 @@
 /**
  * @file
  * chex-campaign: the command-line front end of the campaign driver,
- * as two subcommands sharing one flag parser (flag_parser.hh):
+ * as five subcommands sharing one flag parser (flag_parser.hh):
  *
  *   chex-campaign run      — execute a campaign (or one shard of
  *                            it) and write the JSON report
@@ -16,6 +16,10 @@
  *                            itself, bit-identically
  *
  * A bare invocation (flags with no subcommand) is a usage error.
+ * Flags the subcommands share are defined once: the job-point set
+ * (JobPointFlags: run, snapshot), the campaign-execution set
+ * (CampaignFlags: run, attack) and the isolation pair
+ * (IsolationFlags: run, attack, replay).
  *
  *   chex-campaign run --profiles spec --variants baseline,ucode-pred \
  *                     --jobs 8 --seed 7 --reps 3 --out report.json
@@ -59,7 +63,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -85,21 +89,6 @@ using namespace chex;
 
 namespace
 {
-
-/** Short CLI tokens for the six variants. */
-const std::map<std::string, VariantKind> &
-variantTokens()
-{
-    static const std::map<std::string, VariantKind> tokens = {
-        {"baseline", VariantKind::Baseline},
-        {"hw-only", VariantKind::HardwareOnly},
-        {"bintrans", VariantKind::BinaryTranslation},
-        {"ucode-always", VariantKind::MicrocodeAlwaysOn},
-        {"ucode-pred", VariantKind::MicrocodePrediction},
-        {"asan", VariantKind::Asan},
-    };
-    return tokens;
-}
 
 std::vector<std::string>
 splitCommas(const std::string &list)
@@ -128,6 +117,32 @@ parseUint(const std::string &s, uint64_t &out)
     return true;
 }
 
+/** A flag handler storing a strict unsigned parse into @p out. */
+std::function<bool(const std::string &)>
+uintFlag(uint64_t &out)
+{
+    return [&out](const std::string &v) { return parseUint(v, out); };
+}
+
+/** A flag handler storing the value verbatim into @p out. */
+std::function<bool(const std::string &)>
+stringFlag(std::string &out)
+{
+    return [&out](const std::string &v) {
+        out = v;
+        return true;
+    };
+}
+
+void
+listVariants()
+{
+    std::printf("variants:\n");
+    for (VariantKind kind : allVariants())
+        std::printf("  %-12s = %s\n", variantToken(kind),
+                    variantName(kind));
+}
+
 void
 listChoices()
 {
@@ -137,20 +152,15 @@ listChoices()
                     p.isParsec ? "PARSEC" : "SPEC");
     for (const BenchmarkProfile &p : serverProfiles())
         std::printf("  %-12s (server)\n", p.name.c_str());
-    std::printf("variants:\n");
-    for (const auto &[token, kind] : variantTokens())
-        std::printf("  %-12s = %s\n", token.c_str(),
-                    variantName(kind));
+    listVariants();
 }
 
 /**
  * Resolve a --profiles argument ('spec'/'parsec'/'all'/'server' or
  * a comma-separated name list) into --scale-adjusted profiles.
- * Shared by run and snapshot so both subcommands see the identical
- * job points — a prerequisite for their spec hashes to line up.
  */
 bool
-resolveProfiles(const char *ctx, const std::string &arg,
+resolveProfiles(const std::string &ctx, const std::string &arg,
                 uint64_t scale, std::vector<BenchmarkProfile> *out)
 {
     if (arg == "spec") {
@@ -168,7 +178,7 @@ resolveProfiles(const char *ctx, const std::string &arg,
                 std::fprintf(stderr,
                              "%s: unknown profile '%s' (see "
                              "--list)\n",
-                             ctx, name.c_str());
+                             ctx.c_str(), name.c_str());
                 return false;
             }
             out->push_back(*p);
@@ -179,26 +189,25 @@ resolveProfiles(const char *ctx, const std::string &arg,
     return true;
 }
 
-/** Resolve a --variants argument ('all' or comma-separated CLI
- * tokens); shared by run and snapshot like resolveProfiles. */
+/** Resolve a --variants argument: 'all' (legend order) or
+ * comma-separated CLI tokens. */
 bool
-resolveVariants(const char *ctx, const std::string &arg,
+resolveVariants(const std::string &ctx, const std::string &arg,
                 std::vector<VariantKind> *out)
 {
     if (arg == "all") {
-        for (const auto &[token, kind] : variantTokens())
-            out->push_back(kind);
+        *out = allVariants();
         return true;
     }
     for (const std::string &token : splitCommas(arg)) {
-        auto it = variantTokens().find(token);
-        if (it == variantTokens().end()) {
+        VariantKind kind;
+        if (!variantFromToken(token, &kind)) {
             std::fprintf(stderr,
                          "%s: unknown variant '%s' (see --list)\n",
-                         ctx, token.c_str());
+                         ctx.c_str(), token.c_str());
             return false;
         }
-        out->push_back(it->second);
+        out->push_back(kind);
     }
     return true;
 }
@@ -210,7 +219,7 @@ resolveVariants(const char *ctx, const std::string &arg,
  * explicit "<suite>/<case>" ID.
  */
 bool
-resolveAttackToken(const char *ctx, const std::string &token,
+resolveAttackToken(const std::string &ctx, const std::string &token,
                    std::vector<std::string> *out)
 {
     if (token == "suites") {
@@ -236,14 +245,14 @@ resolveAttackToken(const char *ctx, const std::string &token,
         return true;
     }
     std::fprintf(stderr,
-                 "%s: unknown attack '%s' (see --list)\n", ctx,
+                 "%s: unknown attack '%s' (see --list)\n", ctx.c_str(),
                  token.c_str());
     return false;
 }
 
 /** Resolve a full --attacks argument, deduplicating repeats. */
 bool
-resolveAttacks(const char *ctx, const std::string &arg,
+resolveAttacks(const std::string &ctx, const std::string &arg,
                std::vector<std::string> *out)
 {
     for (const std::string &token : splitCommas(arg))
@@ -271,44 +280,313 @@ listAttackChoices()
         std::printf("  gen/%-8s seeded generated attacks\n",
                     family.c_str());
     std::printf("  (or an explicit \"<suite>/<case>\" ID)\n");
-    std::printf("variants:\n");
-    for (const auto &[token, kind] : variantTokens())
-        std::printf("  %-12s = %s\n", token.c_str(),
-                    variantName(kind));
+    listVariants();
+}
+
+/** Map a parse outcome to an exit code; nullopt means proceed. */
+std::optional<int>
+parseOrExit(cli::FlagParser &parser, int argc, char **argv, int begin)
+{
+    switch (parser.parse(argc, argv, begin)) {
+      case cli::ParseStatus::Ok: return std::nullopt;
+      case cli::ParseStatus::ExitOk: return 0;
+      case cli::ParseStatus::ExitUsage: return 2;
+    }
+    return 2;
 }
 
 /**
- * The (profile x variant) x reps job list both run and snapshot
- * enumerate. A single rep pins the workload seed so every variant
- * sees the identical program; with reps the driver derives per-job
- * seeds instead.
+ * Open @p path for writing when it is set (an unset path leaves
+ * @p out closed). Callers open their outputs before spending any
+ * simulation time, so a bad path fails fast.
  */
-std::vector<driver::JobSpec>
-buildSpecs(const std::vector<BenchmarkProfile> &profiles,
-           const std::vector<VariantKind> &variants, uint64_t reps,
-           uint64_t seed)
+bool
+openOutput(const std::string &ctx, const std::string &path,
+           std::ofstream &out)
 {
-    std::vector<driver::JobSpec> specs;
-    for (const BenchmarkProfile &p : profiles) {
-        for (VariantKind kind : variants) {
-            for (uint64_t r = 0; r < reps; ++r) {
-                driver::JobSpec spec;
-                spec.label = p.name + std::string("/") +
-                             variantName(kind);
-                if (reps > 1)
-                    spec.label += csprintf("#%llu",
-                                           static_cast<unsigned long
-                                                       long>(r));
-                spec.profile = p;
-                spec.config.variant.kind = kind;
-                spec.repetition = static_cast<unsigned>(r);
-                if (reps == 1)
-                    spec.workloadSeed = seed;
-                specs.push_back(std::move(spec));
-            }
+    if (path.empty())
+        return true;
+    out.open(path);
+    if (!out)
+        std::fprintf(stderr, "%s: cannot write '%s'\n", ctx.c_str(),
+                     path.c_str());
+    return static_cast<bool>(out);
+}
+
+/**
+ * --isolate and --timeout, shared by run, attack and replay, with
+ * their $CHEX_BENCH_ISOLATE / $CHEX_BENCH_TIMEOUT defaults.
+ */
+struct IsolationFlags
+{
+    bool isolate;
+    double timeout;
+
+    explicit IsolationFlags(const driver::EnvOptions &env)
+        : isolate(env.isolate), timeout(env.timeoutSeconds)
+    {
+    }
+    // The parser's handlers hold this object's address.
+    IsolationFlags(const IsolationFlags &) = delete;
+    IsolationFlags &operator=(const IsolationFlags &) = delete;
+
+    void
+    add(cli::FlagParser &parser)
+    {
+        parser.add("--isolate",
+                   "fork each job into its own child process\n"
+                   "so a simulator panic/crash is recorded as\n"
+                   "a failed job (cause: signal) instead of\n"
+                   "killing the process",
+                   [this]() { isolate = true; });
+        parser.add("--timeout", "SECS",
+                   "per-attempt wall-clock watchdog; a stuck\n"
+                   "child is killed and recorded as failed\n"
+                   "(cause: timeout). Implies --isolate",
+                   [this](const std::string &v) {
+                       char *end = nullptr;
+                       double t = std::strtod(v.c_str(), &end);
+                       if (!end || *end != '\0' || !(t >= 0.0))
+                           return false;
+                       timeout = t;
+                       return true;
+                   });
+    }
+
+    /** Apply "--timeout implies --isolate", with a note. */
+    void
+    resolve(const std::string &ctx)
+    {
+        if (timeout > 0.0 && !isolate) {
+            std::fprintf(stderr,
+                         "%s: --timeout requires process isolation; "
+                         "enabling --isolate\n",
+                         ctx.c_str());
+            isolate = true;
         }
     }
-    return specs;
+};
+
+/**
+ * The job-point flags run and snapshot share: --profiles, --variants
+ * and --scale. A bundle entry is keyed by its job's spec hash, so the
+ * two subcommands must resolve these identically.
+ */
+struct JobPointFlags
+{
+    std::string profiles = "spec";
+    std::string variants = "baseline,ucode-pred";
+    uint64_t scale;
+
+    explicit JobPointFlags(const driver::EnvOptions &env)
+        : scale(env.scale)
+    {
+    }
+    JobPointFlags(const JobPointFlags &) = delete;
+    JobPointFlags &operator=(const JobPointFlags &) = delete;
+
+    void
+    add(cli::FlagParser &parser)
+    {
+        parser.add("--profiles", "LIST",
+                   "comma-separated profile names, or one of\n"
+                   "'spec', 'parsec', 'all', 'server' (default: spec)",
+                   stringFlag(profiles));
+        parser.add("--variants", "LIST",
+                   "comma-separated variant tokens, or 'all'\n"
+                   "(default: baseline,ucode-pred)",
+                   stringFlag(variants));
+        parser.add("--scale", "K",
+                   "divide workload iteration counts by K\n"
+                   "(default: $CHEX_BENCH_SCALE or 1)",
+                   uintFlag(scale));
+    }
+
+    /**
+     * The (profile x variant) x reps job list. A single rep pins the
+     * workload seed so every variant sees the identical program;
+     * with reps the driver derives per-job seeds instead. False
+     * (reported) on an unknown token or an empty matrix.
+     */
+    bool
+    resolve(const std::string &ctx, uint64_t reps, uint64_t seed,
+            std::vector<driver::JobSpec> *specs) const
+    {
+        std::vector<BenchmarkProfile> ps;
+        std::vector<VariantKind> vs;
+        if (!resolveProfiles(ctx, profiles, std::max<uint64_t>(scale, 1),
+                             &ps) ||
+            !resolveVariants(ctx, variants, &vs)) {
+            return false;
+        }
+        if (ps.empty() || vs.empty()) {
+            std::fprintf(stderr, "%s: no job points selected\n",
+                         ctx.c_str());
+            return false;
+        }
+        for (const BenchmarkProfile &p : ps) {
+            for (VariantKind kind : vs) {
+                for (uint64_t r = 0; r < reps; ++r) {
+                    driver::JobSpec spec;
+                    spec.label = p.name + "/" + variantName(kind);
+                    if (reps > 1)
+                        spec.label += csprintf(
+                            "#%llu", static_cast<unsigned long long>(r));
+                    spec.profile = p;
+                    spec.config.variant.kind = kind;
+                    spec.repetition = static_cast<unsigned>(r);
+                    if (reps == 1)
+                        spec.workloadSeed = seed;
+                    specs->push_back(std::move(spec));
+                }
+            }
+        }
+        return true;
+    }
+};
+
+/**
+ * The campaign-execution flags run and attack share, with their
+ * $CHEX_BENCH_* defaults, and the option wiring behind them.
+ */
+struct CampaignFlags
+{
+    uint64_t jobs;
+    uint64_t seed = 1;
+    uint64_t retries = 1;
+    IsolationFlags isolation;
+    unsigned shardIndex;
+    unsigned shardCount;
+    std::vector<std::string> cachePaths;
+    bool noCache = false;
+    std::string outPath;
+    bool quiet = false;
+    bool list = false;
+
+    explicit CampaignFlags(const driver::EnvOptions &env)
+        : jobs(env.jobs), isolation(env), shardIndex(env.shardIndex),
+          shardCount(env.shardCount), cachePaths(env.cachePaths)
+    {
+    }
+
+    void
+    add(cli::FlagParser &parser, const std::string &ctx)
+    {
+        parser.add("--jobs", "N",
+                   "worker threads (default: $CHEX_BENCH_JOBS or all "
+                   "cores)",
+                   uintFlag(jobs));
+        parser.add("--seed", "S", "campaign seed (default: 1)",
+                   uintFlag(seed));
+        parser.add("--retries", "N",
+                   "attempts per job before it is recorded\n"
+                   "as failed (default: 1)",
+                   uintFlag(retries));
+        isolation.add(parser);
+        parser.add("--shard", "I/N",
+                   "run only shard I of N (jobs with\n"
+                   "index % N == I); other jobs appear in the\n"
+                   "report as 'skipped' placeholders for the\n"
+                   "merge subcommand (default: $CHEX_BENCH_SHARD\n"
+                   "or 0/1)",
+                   [this, ctx](const std::string &v) {
+                       std::string err;
+                       if (driver::parseShardSpec(v, shardIndex,
+                                                  shardCount, &err))
+                           return true;
+                       std::fprintf(stderr, "%s: --shard %s: %s\n",
+                                    ctx.c_str(), v.c_str(),
+                                    err.c_str());
+                       return false;
+                   });
+        parser.add("--cache", "FILE",
+                   "load a previous campaign report as a\n"
+                   "result cache (repeatable; also seeded\n"
+                   "from $CHEX_BENCH_CACHE, colon-separated).\n"
+                   "Jobs whose spec hash and seed match a\n"
+                   "successful prior job are not re-simulated",
+                   [this](const std::string &v) {
+                       cachePaths.push_back(v);
+                       return true;
+                   },
+                   cli::Repeat::Allowed);
+        parser.add("--no-cache", "ignore --cache and $CHEX_BENCH_CACHE",
+                   [this]() { noCache = true; });
+        parser.add("--out", "FILE",
+                   "write the JSON campaign report to FILE",
+                   stringFlag(outPath));
+        parser.add("--quiet", "suppress per-job progress lines",
+                   [this]() { quiet = true; });
+        parser.add("--list", "list the accepted tokens, exit",
+                   [this]() { list = true; });
+    }
+
+    /**
+     * Fill @p opts from the flags and load the result cache. An
+     * unreadable cache file is a hard error — the user explicitly
+     * asked for it, and silently re-simulating everything would be
+     * the costliest possible way to honor that request.
+     */
+    bool
+    options(const std::string &ctx, driver::CampaignOptions *opts)
+    {
+        isolation.resolve(ctx);
+        opts->workers = static_cast<unsigned>(jobs);
+        opts->seed = seed;
+        opts->maxAttempts = static_cast<unsigned>(retries ? retries : 1);
+        opts->isolation = isolation.isolate;
+        opts->timeoutSeconds = isolation.timeout;
+        opts->shardIndex = shardIndex;
+        opts->shardCount = shardCount;
+        if (noCache)
+            cachePaths.clear();
+        for (const std::string &path : cachePaths) {
+            driver::CampaignReport prior;
+            std::string err;
+            if (!driver::loadReportFile(path, prior, &err)) {
+                std::fprintf(stderr, "%s: cache %s\n", ctx.c_str(),
+                             err.c_str());
+                return false;
+            }
+            opts->cacheReports.push_back(std::move(prior));
+        }
+        return true;
+    }
+
+    /** How many of @p total jobs fall in this shard, announced when
+     * the run is sharded. */
+    size_t
+    inShard(size_t total, const char *what) const
+    {
+        // Indices i < total with i % shardCount == shardIndex.
+        size_t n = (total + shardCount - 1 - shardIndex) / shardCount;
+        if (shardCount > 1)
+            std::printf("shard %u/%u: %zu of %zu %s in shard\n",
+                        shardIndex, shardCount, n, total, what);
+        return n;
+    }
+};
+
+/**
+ * Load a --from-snapshot bundle. Same hard-error policy as the
+ * cache: an explicit bundle that cannot be honored must not
+ * silently degrade into re-simulating every warm-up prefix.
+ */
+bool
+loadSnapshot(const std::string &ctx, const std::string &path,
+             std::shared_ptr<const snapshot::Bundle> *out)
+{
+    if (path.empty())
+        return true;
+    snapshot::Bundle bundle;
+    std::string err;
+    if (!snapshot::loadBundleFile(path, &bundle, &err)) {
+        std::fprintf(stderr, "%s: snapshot %s\n", ctx.c_str(),
+                     err.c_str());
+        return false;
+    }
+    *out = std::make_shared<const snapshot::Bundle>(std::move(bundle));
+    return true;
 }
 
 int
@@ -316,120 +594,22 @@ runMain(const char *argv0, int argc, char **argv, int begin)
 {
     // The bench harness env knobs double as CLI defaults.
     driver::EnvOptions env = driver::optionsFromEnv();
-
-    std::string profiles_arg = "spec";
-    std::string variants_arg = "baseline,ucode-pred";
-    std::string out_path;
-    uint64_t jobs = env.jobs;
-    uint64_t seed = 1;
+    const std::string ctx = std::string(argv0) + " run";
+    JobPointFlags points(env);
+    CampaignFlags campaign(env);
     uint64_t reps = 1;
-    uint64_t scale = env.scale;
-    uint64_t retries = 1;
-    bool isolate = env.isolate;
-    double timeout = env.timeoutSeconds;
-    unsigned shard_index = env.shardIndex;
-    unsigned shard_count = env.shardCount;
-    bool quiet = false;
-    std::vector<std::string> cache_paths = env.cachePaths;
-    bool no_cache = false;
     std::string snapshot_path = env.snapshotPath;
-    bool list_only = false;
 
     cli::FlagParser parser(
         argv0, "run",
         "Run a simulation campaign (profiles x variants x reps) on "
         "a\nworker thread pool and emit a JSON report "
         "(chex-campaign-report-v6).");
-    parser.add("--profiles", "LIST",
-               "comma-separated profile names, or one of\n"
-               "'spec', 'parsec', 'all', 'server' (default: spec)",
-               [&](const std::string &v) {
-                   profiles_arg = v;
-                   return true;
-               });
-    parser.add("--variants", "LIST",
-               "comma-separated variant tokens, or 'all'\n"
-               "(default: baseline,ucode-pred)",
-               [&](const std::string &v) {
-                   variants_arg = v;
-                   return true;
-               });
-    parser.add("--jobs", "N",
-               "worker threads (default: $CHEX_BENCH_JOBS or all "
-               "cores)",
-               [&](const std::string &v) {
-                   return parseUint(v, jobs);
-               });
-    parser.add("--seed", "S", "campaign seed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, seed);
-               });
+    points.add(parser);
     parser.add("--reps", "R",
                "repetitions per point, each with a seed\n"
                "derived from (seed, job index) (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, reps);
-               });
-    parser.add("--scale", "K",
-               "divide workload iteration counts by K\n"
-               "(default: $CHEX_BENCH_SCALE or 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, scale);
-               });
-    parser.add("--retries", "N",
-               "attempts per job before it is recorded\n"
-               "as failed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, retries);
-               });
-    parser.add("--isolate",
-               "fork each job into its own child process\n"
-               "so a simulator panic/crash is recorded as\n"
-               "a failed job (cause: signal) instead of\n"
-               "killing the campaign",
-               [&]() { isolate = true; });
-    parser.add("--timeout", "SECS",
-               "per-attempt wall-clock watchdog; a stuck\n"
-               "child is killed and recorded as failed\n"
-               "(cause: timeout). Implies --isolate",
-               [&](const std::string &v) {
-                   char *end = nullptr;
-                   double t = std::strtod(v.c_str(), &end);
-                   if (!end || *end != '\0' || !(t >= 0.0))
-                       return false;
-                   timeout = t;
-                   return true;
-               });
-    parser.add("--shard", "I/N",
-               "run only shard I of N (jobs with\n"
-               "index % N == I); other jobs appear in the\n"
-               "report as 'skipped' placeholders for the\n"
-               "merge subcommand (default: $CHEX_BENCH_SHARD\n"
-               "or 0/1)",
-               [&](const std::string &v) {
-                   std::string err;
-                   if (!driver::parseShardSpec(v, shard_index,
-                                               shard_count, &err)) {
-                       std::fprintf(stderr, "%s: --shard %s: %s\n",
-                                    argv0, v.c_str(), err.c_str());
-                       return false;
-                   }
-                   return true;
-               });
-    parser.add("--cache", "FILE",
-               "load a previous campaign report as a\n"
-               "result cache (repeatable; also seeded\n"
-               "from $CHEX_BENCH_CACHE, colon-separated).\n"
-               "Jobs whose spec hash and seed match a\n"
-               "successful prior job are not re-simulated",
-               [&](const std::string &v) {
-                   cache_paths.push_back(v);
-                   return true;
-               },
-               cli::Repeat::Allowed);
-    parser.add("--no-cache",
-               "ignore --cache and $CHEX_BENCH_CACHE",
-               [&]() { no_cache = true; });
+               uintFlag(reps));
     parser.add("--from-snapshot", "FILE",
                "fan the campaign out from the warmed machine\n"
                "states in a snapshot bundle written by the\n"
@@ -437,121 +617,31 @@ runMain(const char *argv0, int argc, char **argv, int begin)
                "$CHEX_BENCH_SNAPSHOT). Jobs with a matching\n"
                "bundle entry restore it instead of running\n"
                "the warm-up prefix from scratch",
-               [&](const std::string &v) {
-                   snapshot_path = v;
-                   return true;
-               });
-    parser.add("--out", "FILE", "write the JSON report to FILE",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
-    parser.add("--quiet", "suppress per-job progress lines",
-               [&]() { quiet = true; });
-    parser.add("--list", "list profiles and variant tokens, exit",
-               [&]() { list_only = true; });
+               stringFlag(snapshot_path));
+    campaign.add(parser, ctx);
 
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
-    if (list_only) {
+    if (std::optional<int> rc = parseOrExit(parser, argc, argv, begin))
+        return *rc;
+    if (campaign.list) {
         listChoices();
         return 0;
     }
 
-    if (reps == 0)
-        reps = 1;
-    if (scale == 0)
-        scale = 1;
-    if (timeout > 0.0 && !isolate) {
-        std::fprintf(stderr,
-                     "%s: --timeout requires process isolation; "
-                     "enabling --isolate\n",
-                     argv0);
-        isolate = true;
-    }
-
-    std::vector<BenchmarkProfile> profiles;
-    std::vector<VariantKind> variants;
-    if (!resolveProfiles(argv0, profiles_arg, scale, &profiles) ||
-        !resolveVariants(argv0, variants_arg, &variants)) {
+    std::vector<driver::JobSpec> specs;
+    if (!points.resolve(ctx, std::max<uint64_t>(reps, 1), campaign.seed,
+                        &specs))
         return 2;
-    }
-    if (profiles.empty() || variants.empty()) {
-        std::fprintf(stderr, "%s: nothing to run\n", argv0);
-        return 2;
-    }
-
-    std::vector<driver::JobSpec> specs =
-        buildSpecs(profiles, variants, reps, seed);
-
-    // Open the report file before burning simulation time on the
-    // campaign, so a bad path fails fast.
     std::ofstream out;
-    if (!out_path.empty()) {
-        out.open(out_path);
-        if (!out) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n", argv0,
-                         out_path.c_str());
-            return 1;
-        }
-    }
-
+    if (!openOutput(ctx, campaign.outPath, out))
+        return 1;
     driver::CampaignOptions opts;
-    opts.workers = static_cast<unsigned>(jobs);
-    opts.seed = seed;
-    opts.maxAttempts = static_cast<unsigned>(retries ? retries : 1);
-    opts.isolation = isolate;
-    opts.timeoutSeconds = timeout;
-    opts.shardIndex = shard_index;
-    opts.shardCount = shard_count;
+    if (!campaign.options(ctx, &opts) ||
+        !loadSnapshot(ctx, snapshot_path, &opts.snapshot))
+        return 2;
 
-    // Load the result cache through the shared loader. An
-    // unreadable cache file is a hard error — the user explicitly
-    // asked for it, and silently re-simulating everything would be
-    // the costliest possible way to honor that request.
-    if (no_cache)
-        cache_paths.clear();
-    for (const std::string &path : cache_paths) {
-        driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(path, prior, &err)) {
-            std::fprintf(stderr, "%s: cache %s\n", argv0,
-                         err.c_str());
-            return 2;
-        }
-        opts.cacheReports.push_back(std::move(prior));
-    }
-
-    // The snapshot bundle gets the same hard-error policy as the
-    // cache: an explicit --from-snapshot that cannot be honored must
-    // not silently degrade into re-simulating every warm-up prefix.
-    if (!snapshot_path.empty()) {
-        snapshot::Bundle bundle;
-        std::string err;
-        if (!snapshot::loadBundleFile(snapshot_path, &bundle, &err)) {
-            std::fprintf(stderr, "%s: snapshot %s\n", argv0,
-                         err.c_str());
-            return 2;
-        }
-        opts.snapshot = std::make_shared<const snapshot::Bundle>(
-            std::move(bundle));
-    }
-
-    size_t in_shard = 0;
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (i % shard_count == shard_index)
-            ++in_shard;
-    if (shard_count > 1) {
-        std::printf("shard %u/%u: %zu of %zu jobs in shard\n",
-                    shard_index, shard_count, in_shard,
-                    specs.size());
-    }
-
+    size_t in_shard = campaign.inShard(specs.size(), "jobs");
     size_t done = 0;
-    if (!quiet) {
+    if (!campaign.quiet) {
         opts.onJobDone = [&](const driver::JobResult &jr) {
             ++done;
             if (jr.failed) {
@@ -559,18 +649,15 @@ runMain(const char *argv0, int argc, char **argv, int begin)
                             done, in_shard, jr.label.c_str(),
                             driver::failureCauseName(jr.cause),
                             jr.error.c_str());
-            } else if (jr.cached) {
-                std::printf("[%3zu/%zu] %-40s %10lu cycles  ipc %.2f"
-                            "  (cached)\n",
-                            done, in_shard, jr.label.c_str(),
-                            static_cast<unsigned long>(jr.run.cycles),
-                            jr.run.ipc);
             } else {
                 std::printf("[%3zu/%zu] %-40s %10lu cycles  ipc %.2f"
-                            "  %.2fs\n",
+                            "  %s\n",
                             done, in_shard, jr.label.c_str(),
                             static_cast<unsigned long>(jr.run.cycles),
-                            jr.run.ipc, jr.wallSeconds);
+                            jr.run.ipc,
+                            jr.cached ? "(cached)"
+                                      : csprintf("%.2fs", jr.wallSeconds)
+                                            .c_str());
             }
             std::fflush(stdout);
         };
@@ -590,7 +677,7 @@ runMain(const char *argv0, int argc, char **argv, int begin)
 
     if (out.is_open()) {
         driver::writeReport(report, out);
-        std::printf("report: %s\n", out_path.c_str());
+        std::printf("report: %s\n", campaign.outPath.c_str());
     }
 
     return report.jobsFailed ? 1 : 0;
@@ -629,25 +716,14 @@ int
 attackMain(const char *argv0, int argc, char **argv, int begin)
 {
     driver::EnvOptions env = driver::optionsFromEnv();
-
+    const std::string ctx = std::string(argv0) + " attack";
+    CampaignFlags campaign(env);
     std::string attacks_arg = "gen/mix";
     std::string variants_arg = "baseline,ucode-pred";
-    std::string out_path;
     std::string security_out_path;
     std::string from_report_path;
     uint64_t seeds = 64;
-    uint64_t jobs = env.jobs;
-    uint64_t seed = 1;
-    uint64_t retries = 1;
-    bool isolate = env.isolate;
-    double timeout = env.timeoutSeconds;
-    unsigned shard_index = env.shardIndex;
-    unsigned shard_count = env.shardCount;
-    bool quiet = false;
-    std::vector<std::string> cache_paths = env.cachePaths;
-    bool no_cache = false;
     bool no_uninit = false;
-    bool list_only = false;
 
     cli::FlagParser parser(
         argv0, "attack",
@@ -665,164 +741,67 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
                "suite ('ripe', 'asan', 'how2heap'), 'gen',\n"
                "'gen/<family>', or an explicit case ID\n"
                "(default: gen/mix)",
-               [&](const std::string &v) {
-                   attacks_arg = v;
-                   return true;
-               });
+               stringFlag(attacks_arg));
     parser.add("--seeds", "N",
                "generated-attack instances per gen/<family>\n"
                "token, seeded from (campaign seed, instance\n"
                "index); hand-written cases always run once\n"
                "(default: 64)",
-               [&](const std::string &v) {
-                   return parseUint(v, seeds);
-               });
+               uintFlag(seeds));
     parser.add("--variants", "LIST",
                "comma-separated variant tokens, or 'all';\n"
                "'baseline' is force-included for exploit\n"
                "validation (default: baseline,ucode-pred)",
-               [&](const std::string &v) {
-                   variants_arg = v;
-                   return true;
-               });
-    parser.add("--jobs", "N",
-               "worker threads (default: $CHEX_BENCH_JOBS or all "
-               "cores)",
-               [&](const std::string &v) {
-                   return parseUint(v, jobs);
-               });
-    parser.add("--seed", "S", "campaign seed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, seed);
-               });
-    parser.add("--retries", "N",
-               "attempts per job before it is recorded\n"
-               "as failed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, retries);
-               });
-    parser.add("--isolate",
-               "fork each job into its own child process",
-               [&]() { isolate = true; });
-    parser.add("--timeout", "SECS",
-               "per-attempt wall-clock watchdog; implies\n"
-               "--isolate",
-               [&](const std::string &v) {
-                   char *end = nullptr;
-                   double t = std::strtod(v.c_str(), &end);
-                   if (!end || *end != '\0' || !(t >= 0.0))
-                       return false;
-                   timeout = t;
-                   return true;
-               });
-    parser.add("--shard", "I/N",
-               "run only shard I of N; shards merge with\n"
-               "`merge`, then distill with `attack\n"
-               "--from-report` (default: $CHEX_BENCH_SHARD\n"
-               "or 0/1)",
-               [&](const std::string &v) {
-                   std::string err;
-                   if (!driver::parseShardSpec(v, shard_index,
-                                               shard_count, &err)) {
-                       std::fprintf(stderr, "%s: --shard %s: %s\n",
-                                    argv0, v.c_str(), err.c_str());
-                       return false;
-                   }
-                   return true;
-               });
-    parser.add("--cache", "FILE",
-               "load a previous campaign report as a result\n"
-               "cache (repeatable; also seeded from\n"
-               "$CHEX_BENCH_CACHE)",
-               [&](const std::string &v) {
-                   cache_paths.push_back(v);
-                   return true;
-               },
-               cli::Repeat::Allowed);
-    parser.add("--no-cache",
-               "ignore --cache and $CHEX_BENCH_CACHE",
-               [&]() { no_cache = true; });
-    parser.add("--out", "FILE",
-               "write the raw campaign report to FILE",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               stringFlag(variants_arg));
     parser.add("--security-out", "FILE",
                "write the distilled chex-security-report-v1\n"
                "to FILE (refused for sharded runs: merge the\n"
                "shards, then use --from-report)",
-               [&](const std::string &v) {
-                   security_out_path = v;
-                   return true;
-               });
+               stringFlag(security_out_path));
     parser.add("--from-report", "FILE",
                "skip running: distill the security report\n"
                "from an existing (merged) campaign report",
-               [&](const std::string &v) {
-                   from_report_path = v;
-                   return true;
-               });
+               stringFlag(from_report_path));
     parser.add("--no-uninit",
                "leave uninitialized-read detection off\n"
                "(default: on for every attack job, so the\n"
                "uninit family is detectable; inert under\n"
                "the baseline)",
                [&]() { no_uninit = true; });
-    parser.add("--quiet", "suppress per-job progress lines",
-               [&]() { quiet = true; });
-    parser.add("--list", "list attack tokens and variants, exit",
-               [&]() { list_only = true; });
+    campaign.add(parser, ctx);
 
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
-    if (list_only) {
+    if (std::optional<int> rc = parseOrExit(parser, argc, argv, begin))
+        return *rc;
+    if (campaign.list) {
         listAttackChoices();
         return 0;
     }
 
-    std::string ctx = std::string(argv0) + " attack";
-
     // --from-report is the distill-only mode: load, derive, write.
     if (!from_report_path.empty()) {
         driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(from_report_path, prior, &err)) {
-            std::fprintf(stderr, "%s: %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
         driver::SecurityReport sec;
-        if (!driver::buildSecurityReport(prior, &sec, &err)) {
+        std::string err;
+        if (!driver::loadReportFile(from_report_path, prior, &err) ||
+            !driver::buildSecurityReport(prior, &sec, &err)) {
             std::fprintf(stderr, "%s: %s\n", ctx.c_str(),
                          err.c_str());
             return 2;
         }
-        if (!security_out_path.empty()) {
-            std::ofstream sout(security_out_path);
-            if (!sout) {
-                std::fprintf(stderr, "%s: cannot write '%s'\n",
-                             ctx.c_str(),
-                             security_out_path.c_str());
-                return 1;
-            }
-            driver::writeSecurityReport(sec, sout);
-        } else {
-            driver::writeSecurityReport(sec, std::cout);
-        }
-        if (!quiet)
+        std::ofstream sout;
+        if (!openOutput(ctx, security_out_path, sout))
+            return 1;
+        driver::writeSecurityReport(
+            sec, sout.is_open() ? static_cast<std::ostream &>(sout)
+                                : std::cout);
+        if (!campaign.quiet)
             printSecuritySummary(sec);
         return 0;
     }
 
     if (seeds == 0)
         seeds = 1;
-    if (timeout > 0.0 && !isolate)
-        isolate = true;
-    if (shard_count > 1 && !security_out_path.empty()) {
+    if (campaign.shardCount > 1 && !security_out_path.empty()) {
         std::fprintf(stderr,
                      "%s: --security-out on a sharded run would "
                      "distill a slice of the campaign; merge the "
@@ -833,8 +812,8 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
 
     std::vector<std::string> attack_ids;
     std::vector<VariantKind> variants;
-    if (!resolveAttacks(ctx.c_str(), attacks_arg, &attack_ids) ||
-        !resolveVariants(ctx.c_str(), variants_arg, &variants)) {
+    if (!resolveAttacks(ctx, attacks_arg, &attack_ids) ||
+        !resolveVariants(ctx, variants_arg, &variants)) {
         return 2;
     }
     if (attack_ids.empty() || variants.empty()) {
@@ -847,7 +826,7 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
     if (std::find(variants.begin(), variants.end(),
                   VariantKind::Baseline) == variants.end()) {
         variants.insert(variants.begin(), VariantKind::Baseline);
-        if (!quiet) {
+        if (!campaign.quiet) {
             std::printf("note: including baseline for exploit "
                         "validation\n");
         }
@@ -861,14 +840,13 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
     for (const std::string &id : attack_ids) {
         uint64_t count = isGeneratedAttackId(id) ? seeds : 1;
         for (uint64_t i = 0; i < count; ++i, ++instance) {
-            uint64_t instance_seed = driver::jobSeed(seed, instance);
+            uint64_t instance_seed =
+                driver::jobSeed(campaign.seed, instance);
             for (VariantKind kind : variants) {
                 driver::JobSpec spec;
-                spec.label = id +
-                             csprintf("#%llu/",
-                                      static_cast<unsigned long long>(
-                                          i)) +
-                             variantName(kind);
+                spec.label = csprintf(
+                    "%s#%llu/%s", id.c_str(),
+                    static_cast<unsigned long long>(i), variantName(kind));
                 spec.attack = id;
                 spec.profile = attackProfile();
                 spec.config.variant.kind = kind;
@@ -879,59 +857,17 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
         }
     }
 
-    std::ofstream out;
-    if (!out_path.empty()) {
-        out.open(out_path);
-        if (!out) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n",
-                         ctx.c_str(), out_path.c_str());
-            return 1;
-        }
-    }
-    std::ofstream security_out;
-    if (!security_out_path.empty()) {
-        security_out.open(security_out_path);
-        if (!security_out) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n",
-                         ctx.c_str(), security_out_path.c_str());
-            return 1;
-        }
-    }
-
+    std::ofstream out, security_out;
+    if (!openOutput(ctx, campaign.outPath, out) ||
+        !openOutput(ctx, security_out_path, security_out))
+        return 1;
     driver::CampaignOptions opts;
-    opts.workers = static_cast<unsigned>(jobs);
-    opts.seed = seed;
-    opts.maxAttempts = static_cast<unsigned>(retries ? retries : 1);
-    opts.isolation = isolate;
-    opts.timeoutSeconds = timeout;
-    opts.shardIndex = shard_index;
-    opts.shardCount = shard_count;
+    if (!campaign.options(ctx, &opts))
+        return 2;
 
-    if (no_cache)
-        cache_paths.clear();
-    for (const std::string &path : cache_paths) {
-        driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(path, prior, &err)) {
-            std::fprintf(stderr, "%s: cache %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        opts.cacheReports.push_back(std::move(prior));
-    }
-
-    size_t in_shard = 0;
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (i % shard_count == shard_index)
-            ++in_shard;
-    if (shard_count > 1) {
-        std::printf("shard %u/%u: %zu of %zu attack jobs in shard\n",
-                    shard_index, shard_count, in_shard,
-                    specs.size());
-    }
-
+    size_t in_shard = campaign.inShard(specs.size(), "attack jobs");
     size_t done = 0;
-    if (!quiet) {
+    if (!campaign.quiet) {
         opts.onJobDone = [&](const driver::JobResult &jr) {
             ++done;
             if (jr.failed) {
@@ -967,7 +903,7 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
 
     if (out.is_open()) {
         driver::writeReport(report, out);
-        std::printf("report: %s\n", out_path.c_str());
+        std::printf("report: %s\n", campaign.outPath.c_str());
     }
 
     // Distill unless this run is one shard of a larger campaign (a
@@ -995,15 +931,13 @@ int
 snapshotMain(const char *argv0, int argc, char **argv, int begin)
 {
     driver::EnvOptions env = driver::optionsFromEnv();
-
-    std::string profiles_arg = "spec";
-    std::string variants_arg = "baseline,ucode-pred";
+    const std::string ctx = std::string(argv0) + " snapshot";
+    JobPointFlags points(env);
     std::string out_path;
     uint64_t seed = 1;
-    uint64_t scale = env.scale;
     uint64_t warmup = 2000;
     bool quiet = false;
-    bool list_only = false;
+    bool list = false;
 
     cli::FlagParser parser(
         argv0, "snapshot",
@@ -1015,64 +949,32 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
         "bundle matches only campaigns with the\nidentical "
         "profiles/variants/seed/scale (single-rep), because\nentries "
         "are keyed by the driver's canonical spec hash.");
-    parser.add("--profiles", "LIST",
-               "comma-separated profile names, or one of\n"
-               "'spec', 'parsec', 'all', 'server' (default: spec)",
-               [&](const std::string &v) {
-                   profiles_arg = v;
-                   return true;
-               });
-    parser.add("--variants", "LIST",
-               "comma-separated variant tokens, or 'all'\n"
-               "(default: baseline,ucode-pred)",
-               [&](const std::string &v) {
-                   variants_arg = v;
-                   return true;
-               });
+    points.add(parser);
     parser.add("--seed", "S", "campaign seed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, seed);
-               });
-    parser.add("--scale", "K",
-               "divide workload iteration counts by K\n"
-               "(default: $CHEX_BENCH_SCALE or 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, scale);
-               });
+               uintFlag(seed));
     parser.add("--warmup", "N",
                "macro-ops to execute before checkpointing\n"
                "each machine (default: 2000)",
-               [&](const std::string &v) {
-                   return parseUint(v, warmup);
-               });
+               uintFlag(warmup));
     parser.add("--out", "FILE",
                "write the snapshot bundle to FILE (required)",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               stringFlag(out_path));
     parser.add("--quiet", "suppress per-machine progress lines",
                [&]() { quiet = true; });
     parser.add("--list", "list profiles and variant tokens, exit",
-               [&]() { list_only = true; });
+               [&]() { list = true; });
 
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
-    if (list_only) {
+    if (std::optional<int> rc = parseOrExit(parser, argc, argv, begin))
+        return *rc;
+    if (list) {
         listChoices();
         return 0;
     }
 
-    std::string ctx = std::string(argv0) + " snapshot";
     if (out_path.empty()) {
         std::fprintf(stderr, "%s: --out is required\n", ctx.c_str());
         return 2;
     }
-    if (scale == 0)
-        scale = 1;
     if (warmup == 0) {
         std::fprintf(stderr,
                      "%s: --warmup must be at least 1 macro-op\n",
@@ -1080,24 +982,12 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
         return 2;
     }
 
-    std::vector<BenchmarkProfile> profiles;
-    std::vector<VariantKind> variants;
-    if (!resolveProfiles(ctx.c_str(), profiles_arg, scale,
-                         &profiles) ||
-        !resolveVariants(ctx.c_str(), variants_arg, &variants)) {
-        return 2;
-    }
-    if (profiles.empty() || variants.empty()) {
-        std::fprintf(stderr, "%s: nothing to snapshot\n",
-                     ctx.c_str());
-        return 2;
-    }
-
     // Enumerate exactly the single-rep job list `run` would build:
     // the per-entry specKey must equal the spec hash the driver
     // computes for the matching job, or the fan-out finds nothing.
-    std::vector<driver::JobSpec> specs =
-        buildSpecs(profiles, variants, /*reps=*/1, seed);
+    std::vector<driver::JobSpec> specs;
+    if (!points.resolve(ctx, /*reps=*/1, seed, &specs))
+        return 2;
 
     snapshot::Bundle bundle;
     bundle.campaignSeed = seed;
@@ -1145,13 +1035,12 @@ int
 replayMain(const char *argv0, int argc, char **argv, int begin)
 {
     driver::EnvOptions env = driver::optionsFromEnv();
-
+    const std::string ctx = std::string(argv0) + " replay";
+    IsolationFlags isolation(env);
     std::string report_path;
     std::string snapshot_path = env.snapshotPath;
     std::optional<size_t> index;
     uint64_t scale = env.scale;
-    bool isolate = env.isolate;
-    double timeout = env.timeoutSeconds;
     bool uninit = false;
     bool quiet = false;
 
@@ -1167,10 +1056,7 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
         "same success), 1 when it differs.");
     parser.add("--report", "FILE",
                "the campaign report to replay from (required)",
-               [&](const std::string &v) {
-                   report_path = v;
-                   return true;
-               });
+               stringFlag(report_path));
     parser.add("--index", "N",
                "report row to replay (default: the first\n"
                "failed row)",
@@ -1185,33 +1071,12 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
                "the snapshot bundle the campaign fanned out\n"
                "from; required to replay from-snapshot rows\n"
                "(also seeded from $CHEX_BENCH_SNAPSHOT)",
-               [&](const std::string &v) {
-                   snapshot_path = v;
-                   return true;
-               });
+               stringFlag(snapshot_path));
     parser.add("--scale", "K",
                "the --scale the original campaign ran with\n"
                "(default: $CHEX_BENCH_SCALE or 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, scale);
-               });
-    parser.add("--isolate",
-               "fork the replayed job into its own child\n"
-               "process, so a crash reproduces as a failed\n"
-               "job (cause: signal) instead of killing the\n"
-               "replay",
-               [&]() { isolate = true; });
-    parser.add("--timeout", "SECS",
-               "per-attempt wall-clock watchdog for the\n"
-               "replayed job. Implies --isolate",
-               [&](const std::string &v) {
-                   char *end = nullptr;
-                   double t = std::strtod(v.c_str(), &end);
-                   if (!end || *end != '\0' || !(t >= 0.0))
-                       return false;
-                   timeout = t;
-                   return true;
-               });
+               uintFlag(scale));
+    isolation.add(parser);
     parser.add("--uninit",
                "the original campaign ran with\n"
                "uninitialized-read detection on (the\n"
@@ -1222,53 +1087,31 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
     parser.add("--quiet", "suppress the replay progress line",
                [&]() { quiet = true; });
 
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
+    if (std::optional<int> rc = parseOrExit(parser, argc, argv, begin))
+        return *rc;
 
-    std::string ctx = std::string(argv0) + " replay";
     if (report_path.empty()) {
         std::fprintf(stderr, "%s: --report is required\n",
                      ctx.c_str());
         return 2;
     }
-    if (scale == 0)
-        scale = 1;
-    if (timeout > 0.0 && !isolate)
-        isolate = true;
+    isolation.resolve(ctx);
 
     driver::CampaignReport report;
+    std::shared_ptr<const snapshot::Bundle> bundle;
+    size_t row = 0;
+    SystemConfig base;
+    base.detectUninitializedReads = uninit;
+    driver::ReplayPlan plan;
     std::string err;
     if (!driver::loadReportFile(report_path, report, &err)) {
         std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
         return 2;
     }
-
-    std::shared_ptr<const snapshot::Bundle> bundle;
-    if (!snapshot_path.empty()) {
-        snapshot::Bundle b;
-        if (!snapshot::loadBundleFile(snapshot_path, &b, &err)) {
-            std::fprintf(stderr, "%s: snapshot %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        bundle =
-            std::make_shared<const snapshot::Bundle>(std::move(b));
-    }
-
-    size_t row = 0;
-    if (!driver::selectReplayRow(report, index, &row, &err)) {
-        std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
+    if (!loadSnapshot(ctx, snapshot_path, &bundle))
         return 2;
-    }
-
-    SystemConfig base;
-    base.detectUninitializedReads = uninit;
-
-    driver::ReplayPlan plan;
-    if (!driver::planReplay(report, row, base, scale,
+    if (!driver::selectReplayRow(report, index, &row, &err) ||
+        !driver::planReplay(report, row, base, std::max<uint64_t>(scale, 1),
                             bundle.get(), &plan, &err)) {
         std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
         return 2;
@@ -1287,8 +1130,8 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
     driver::CampaignOptions opts;
     opts.workers = 1;
     opts.seed = report.seed;
-    opts.isolation = isolate;
-    opts.timeoutSeconds = timeout;
+    opts.isolation = isolation.isolate;
+    opts.timeoutSeconds = isolation.timeout;
     opts.snapshot = bundle;
 
     driver::CampaignReport rerun =
@@ -1315,6 +1158,7 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
 int
 mergeMain(const char *argv0, int argc, char **argv, int begin)
 {
+    const std::string ctx = std::string(argv0) + " merge";
     std::string out_path;
     bool quiet = false;
 
@@ -1330,58 +1174,38 @@ mergeMain(const char *argv0, int argc, char **argv, int begin)
     parser.add("--out", "FILE",
                "write the merged JSON report to FILE\n"
                "(default: stdout)",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               stringFlag(out_path));
     parser.add("--quiet", "suppress the merge summary line",
                [&]() { quiet = true; });
 
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
+    if (std::optional<int> rc = parseOrExit(parser, argc, argv, begin))
+        return *rc;
 
     const std::vector<std::string> &paths = parser.positionalArgs();
     if (paths.empty()) {
-        std::fprintf(stderr, "%s merge: no shard reports given\n",
-                     argv0);
+        std::fprintf(stderr, "%s: no shard reports given\n",
+                     ctx.c_str());
         parser.usage(stderr);
         return 2;
     }
 
-    std::vector<driver::CampaignReport> shards;
-    shards.reserve(paths.size());
-    for (const std::string &path : paths) {
-        driver::CampaignReport shard;
-        std::string err;
-        if (!driver::loadReportFile(path, shard, &err)) {
-            std::fprintf(stderr, "%s merge: %s\n", argv0,
-                         err.c_str());
-            return 2;
-        }
-        shards.push_back(std::move(shard));
-    }
-
+    std::vector<driver::CampaignReport> shards(paths.size());
     driver::CampaignReport merged;
     std::string err;
-    if (!driver::mergeReports(shards, merged, &err)) {
-        std::fprintf(stderr, "%s merge: %s\n", argv0, err.c_str());
+    bool loaded = true;
+    for (size_t i = 0; loaded && i < paths.size(); ++i)
+        loaded = driver::loadReportFile(paths[i], shards[i], &err);
+    if (!loaded || !driver::mergeReports(shards, merged, &err)) {
+        std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
         return 2;
     }
 
-    if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "%s merge: cannot write '%s'\n",
-                         argv0, out_path.c_str());
-            return 1;
-        }
-        driver::writeReport(merged, out);
-    } else {
-        driver::writeReport(merged, std::cout);
-    }
+    std::ofstream out;
+    if (!openOutput(ctx, out_path, out))
+        return 1;
+    driver::writeReport(merged, out.is_open()
+                                    ? static_cast<std::ostream &>(out)
+                                    : std::cout);
 
     if (!quiet) {
         // When the JSON itself goes to stdout, keep it parseable and
