@@ -10,22 +10,20 @@ const char kAlphabet[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
     "0123456789+/";
 
-/** 0-63 for alphabet characters, -1 otherwise ('=' included). */
-int
-decodeChar(char c)
+/** 0-63 for alphabet characters, -1 for every other byte ('='). */
+struct DecodeTable
 {
-    if (c >= 'A' && c <= 'Z')
-        return c - 'A';
-    if (c >= 'a' && c <= 'z')
-        return c - 'a' + 26;
-    if (c >= '0' && c <= '9')
-        return c - '0' + 52;
-    if (c == '+')
-        return 62;
-    if (c == '/')
-        return 63;
-    return -1;
-}
+    int8_t value[256] = {};
+    constexpr DecodeTable()
+    {
+        for (int c = 0; c < 256; ++c)
+            value[c] = -1;
+        for (int i = 0; i < 64; ++i)
+            value[static_cast<unsigned char>(kAlphabet[i])] =
+                static_cast<int8_t>(i);
+    }
+};
+constexpr DecodeTable kDecode;
 
 } // namespace
 
@@ -33,67 +31,70 @@ std::string
 base64Encode(const void *data, size_t n)
 {
     const uint8_t *p = static_cast<const uint8_t *>(data);
-    std::string out;
-    out.reserve(((n + 2) / 3) * 4);
+    std::string text(((n + 2) / 3) * 4, '=');
+    char *out = text.data();
     size_t i = 0;
-    for (; i + 3 <= n; i += 3) {
+    for (; i + 3 <= n; i += 3, out += 4) {
         uint32_t v = (uint32_t(p[i]) << 16) | (uint32_t(p[i + 1]) << 8) |
                      uint32_t(p[i + 2]);
-        out += kAlphabet[(v >> 18) & 63];
-        out += kAlphabet[(v >> 12) & 63];
-        out += kAlphabet[(v >> 6) & 63];
-        out += kAlphabet[v & 63];
+        out[0] = kAlphabet[(v >> 18) & 63];
+        out[1] = kAlphabet[(v >> 12) & 63];
+        out[2] = kAlphabet[(v >> 6) & 63];
+        out[3] = kAlphabet[v & 63];
     }
+    // A one- or two-byte tail fills two or three characters of the
+    // last group; the rest keep their '=' padding.
     size_t rem = n - i;
-    if (rem == 1) {
+    if (rem) {
         uint32_t v = uint32_t(p[i]) << 16;
-        out += kAlphabet[(v >> 18) & 63];
-        out += kAlphabet[(v >> 12) & 63];
-        out += "==";
-    } else if (rem == 2) {
-        uint32_t v = (uint32_t(p[i]) << 16) | (uint32_t(p[i + 1]) << 8);
-        out += kAlphabet[(v >> 18) & 63];
-        out += kAlphabet[(v >> 12) & 63];
-        out += kAlphabet[(v >> 6) & 63];
-        out += '=';
+        if (rem == 2)
+            v |= uint32_t(p[i + 1]) << 8;
+        out[0] = kAlphabet[(v >> 18) & 63];
+        out[1] = kAlphabet[(v >> 12) & 63];
+        if (rem == 2)
+            out[2] = kAlphabet[(v >> 6) & 63];
     }
-    return out;
+    return text;
 }
 
 bool
 base64Decode(const std::string &text, std::vector<uint8_t> &out)
 {
     out.clear();
-    if (text.size() % 4 != 0)
+    size_t n = text.size();
+    if (n % 4 != 0)
         return false;
-    out.reserve((text.size() / 4) * 3);
-    for (size_t i = 0; i < text.size(); i += 4) {
-        int pad = 0;
-        int vals[4];
-        for (int j = 0; j < 4; ++j) {
-            char c = text[i + j];
-            if (c == '=') {
-                // Padding is only legal in the last group's final
-                // one or two positions.
-                if (i + 4 != text.size() || j < 2)
-                    return false;
-                ++pad;
-                vals[j] = 0;
-                continue;
-            }
-            if (pad)
-                return false; // data after '='
-            vals[j] = decodeChar(c);
-            if (vals[j] < 0)
-                return false;
-        }
-        uint32_t v = (uint32_t(vals[0]) << 18) | (uint32_t(vals[1]) << 12) |
-                     (uint32_t(vals[2]) << 6) | uint32_t(vals[3]);
-        out.push_back(uint8_t((v >> 16) & 0xff));
-        if (pad < 2)
-            out.push_back(uint8_t((v >> 8) & 0xff));
-        if (pad < 1)
-            out.push_back(uint8_t(v & 0xff));
+    // Padding is only legal as the last group's final one or two
+    // characters.
+    size_t pad = 0;
+    if (n && text[n - 1] == '=')
+        pad = text[n - 2] == '=' ? 2 : 1;
+    out.resize(n / 4 * 3 - pad);
+    const unsigned char *in =
+        reinterpret_cast<const unsigned char *>(text.data());
+    uint8_t *dst = out.data();
+    size_t full = pad ? n - 4 : n; // groups without padding
+    for (size_t i = 0; i < full; i += 4, dst += 3) {
+        int a = kDecode.value[in[i]], b = kDecode.value[in[i + 1]];
+        int c = kDecode.value[in[i + 2]], d = kDecode.value[in[i + 3]];
+        if ((a | b | c | d) < 0)
+            return false;
+        uint32_t v = (uint32_t(a) << 18) | (uint32_t(b) << 12) |
+                     (uint32_t(c) << 6) | uint32_t(d);
+        dst[0] = uint8_t(v >> 16);
+        dst[1] = uint8_t(v >> 8);
+        dst[2] = uint8_t(v);
+    }
+    if (pad) {
+        int a = kDecode.value[in[n - 4]], b = kDecode.value[in[n - 3]];
+        int c = pad == 1 ? kDecode.value[in[n - 2]] : 0;
+        if ((a | b | c) < 0)
+            return false;
+        uint32_t v = (uint32_t(a) << 18) | (uint32_t(b) << 12) |
+                     (uint32_t(c) << 6);
+        dst[0] = uint8_t(v >> 16);
+        if (pad == 1)
+            dst[1] = uint8_t(v >> 8);
     }
     return true;
 }

@@ -1,12 +1,10 @@
 #include "json.hh"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <unordered_set>
 
 #include "base/logging.hh"
 
@@ -15,82 +13,140 @@ namespace chex
 namespace json
 {
 
-Value
-Value::object()
+namespace
 {
-    Value v;
-    v._kind = Kind::Object;
-    return v;
+
+const std::string kEmptyString;
+const Value::Array kEmptyArray;
+const Value::Object kEmptyObject;
+
+} // namespace
+
+Value::Value(std::string s) : Value(Kind::String)
+{
+    if (!s.empty())
+        _u.str = new std::string(std::move(s));
 }
 
-Value
-Value::array()
+Value::Value(const Value &other)
+    : _kind(other._kind), _exactUint(other._exactUint), _u(other._u)
 {
-    Value v;
-    v._kind = Kind::Array;
-    return v;
+    switch (_kind) {
+      case Kind::String:
+        if (_u.str)
+            _u.str = new std::string(*_u.str);
+        break;
+      case Kind::Array:
+        if (_u.arr)
+            _u.arr = new Array(*_u.arr);
+        break;
+      case Kind::Object:
+        if (_u.obj)
+            _u.obj = new Object(*_u.obj);
+        break;
+      default:
+        break;
+    }
+}
+
+void
+Value::release() noexcept
+{
+    switch (_kind) {
+      case Kind::String: delete _u.str; break;
+      case Kind::Array: delete _u.arr; break;
+      case Kind::Object: delete _u.obj; break;
+      default: break;
+    }
+}
+
+Value::Array &
+Value::arrayPayload()
+{
+    if (!_u.arr)
+        _u.arr = new Array;
+    return *_u.arr;
+}
+
+Value::Object &
+Value::objectPayload()
+{
+    if (!_u.obj)
+        _u.obj = new Object;
+    return *_u.obj;
 }
 
 bool
 Value::boolean() const
 {
     chex_assert(_kind == Kind::Bool, "json: not a bool");
-    return _bool;
+    return _u.boolean;
 }
 
 double
 Value::number() const
 {
     chex_assert(_kind == Kind::Number, "json: not a number");
-    return _num;
+    return _exactUint ? static_cast<double>(_u.uint) : _u.num;
 }
 
 uint64_t
 Value::asUint64() const
 {
     chex_assert(_kind == Kind::Number, "json: not a number");
-    return _exactUint ? _uint : static_cast<uint64_t>(_num);
+    return _exactUint ? _u.uint : static_cast<uint64_t>(_u.num);
 }
 
 const std::string &
 Value::str() const
 {
     chex_assert(_kind == Kind::String, "json: not a string");
-    return _str;
+    return _u.str ? *_u.str : kEmptyString;
+}
+
+const Value::Array &
+Value::items() const
+{
+    return _kind == Kind::Array && _u.arr ? *_u.arr : kEmptyArray;
+}
+
+const Value::Object &
+Value::members() const
+{
+    return _kind == Kind::Object && _u.obj ? *_u.obj : kEmptyObject;
 }
 
 Value &
-Value::push(Value v)
+Value::push(Value v) &
 {
     if (_kind == Kind::Null)
         _kind = Kind::Array;
     chex_assert(_kind == Kind::Array, "json: push on non-array");
-    _items.push_back(std::move(v));
+    arrayPayload().push_back(std::move(v));
     return *this;
 }
 
 Value &
-Value::set(const std::string &key, Value v)
+Value::set(const std::string &key, Value v) &
 {
     if (_kind == Kind::Null)
         _kind = Kind::Object;
     chex_assert(_kind == Kind::Object, "json: set on non-object");
-    for (auto &m : _members) {
+    Object &obj = objectPayload();
+    for (auto &m : obj) {
         if (m.first == key) {
             m.second = std::move(v);
             return *this;
         }
     }
-    _members.emplace_back(key, std::move(v));
+    obj.emplace_back(key, std::move(v));
     return *this;
 }
 
 const Value *
 Value::find(const std::string &key) const
 {
-    if (_kind != Kind::Object)
-        return nullptr;
-    for (const auto &m : _members)
+    for (const auto &m : members())
         if (m.first == key)
             return &m.second;
     return nullptr;
@@ -109,44 +165,18 @@ const Value &
 Value::at(size_t index) const
 {
     chex_assert(_kind == Kind::Array, "json: at() on non-array");
-    chex_assert(index < _items.size(), "json: array index out of range");
-    return _items[index];
+    chex_assert(index < size(), "json: array index out of range");
+    return (*_u.arr)[index];
 }
 
 size_t
 Value::size() const
 {
     if (_kind == Kind::Array)
-        return _items.size();
+        return items().size();
     if (_kind == Kind::Object)
-        return _members.size();
+        return members().size();
     return 0;
-}
-
-void
-writeEscaped(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << static_cast<char>(c);
-            }
-        }
-    }
-    os << '"';
 }
 
 namespace
@@ -155,174 +185,246 @@ namespace
 // Largest integer magnitude a double represents exactly.
 constexpr double kExactIntLimit = 9007199254740992.0; // 2^53
 
+/** Bytes a string literal must escape: '"', '\\' and controls. */
+struct EscapeTable
+{
+    bool needs[256] = {};
+    constexpr EscapeTable()
+    {
+        for (int c = 0; c < 0x20; ++c)
+            needs[c] = true;
+        needs[static_cast<unsigned char>('"')] = true;
+        needs[static_cast<unsigned char>('\\')] = true;
+    }
+};
+constexpr EscapeTable kEscape;
+
 void
-writeNumber(std::ostream &os, double d)
+appendEscaped(std::string &out, const std::string &s)
+{
+    static const char kHex[] = "0123456789abcdef";
+    out += '"';
+    const char *p = s.data();
+    const char *end = p + s.size();
+    while (p < end) {
+        const char *run = p;
+        while (p < end && !kEscape.needs[static_cast<unsigned char>(*p)])
+            ++p;
+        out.append(run, p);
+        if (p == end)
+            break;
+        unsigned char c = static_cast<unsigned char>(*p++);
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default: {
+            const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 15]};
+            out.append(u, sizeof(u));
+          }
+        }
+    }
+    out += '"';
+}
+
+/**
+ * Append @p d as the printf "%.0f" (integral, below 2^53) or "%.17g"
+ * form; std::to_chars with an explicit format and precision is
+ * specified to match printf in the C locale.
+ */
+void
+appendNumber(std::string &out, double d)
 {
     if (!std::isfinite(d)) {
-        os << "null"; // JSON has no NaN/Inf
+        out += "null"; // JSON has no NaN/Inf
         return;
     }
     char buf[40];
-    if (d == std::floor(d) && std::fabs(d) < kExactIntLimit) {
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-    }
-    os << buf;
+    std::to_chars_result r =
+        d == std::floor(d) && std::fabs(d) < kExactIntLimit
+            ? std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::fixed, 0)
+            : std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 void
-newlineIndent(std::ostream &os, unsigned indent, unsigned depth)
+newlineIndent(std::string &out, unsigned indent, unsigned depth)
 {
-    os << '\n';
-    for (unsigned i = 0; i < indent * depth; ++i)
-        os << ' ';
+    out += '\n';
+    out.append(static_cast<size_t>(indent) * depth, ' ');
 }
 
 } // namespace
 
 void
-Value::writeIndented(std::ostream &os, unsigned indent,
-                     unsigned depth) const
+Value::writeTo(std::string &out, unsigned indent, unsigned depth) const
 {
     switch (_kind) {
       case Kind::Null:
-        os << "null";
+        out += "null";
         break;
       case Kind::Bool:
-        os << (_bool ? "true" : "false");
+        out += _u.boolean ? "true" : "false";
         break;
       case Kind::Number:
         if (_exactUint) {
             char buf[24];
-            std::snprintf(buf, sizeof(buf), "%llu",
-                          static_cast<unsigned long long>(_uint));
-            os << buf;
+            out.append(buf,
+                       std::to_chars(buf, buf + sizeof(buf), _u.uint).ptr);
         } else {
-            writeNumber(os, _num);
+            appendNumber(out, _u.num);
         }
         break;
       case Kind::String:
-        writeEscaped(os, _str);
+        appendEscaped(out, str());
         break;
-      case Kind::Array:
-        if (_items.empty()) {
-            os << "[]";
+      case Kind::Array: {
+        const Array &items = this->items();
+        if (items.empty()) {
+            out += "[]";
             break;
         }
-        os << '[';
-        for (size_t i = 0; i < _items.size(); ++i) {
+        out += '[';
+        for (size_t i = 0; i < items.size(); ++i) {
             if (i)
-                os << ',';
+                out += ',';
             if (indent)
-                newlineIndent(os, indent, depth + 1);
-            _items[i].writeIndented(os, indent, depth + 1);
+                newlineIndent(out, indent, depth + 1);
+            items[i].writeTo(out, indent, depth + 1);
         }
         if (indent)
-            newlineIndent(os, indent, depth);
-        os << ']';
+            newlineIndent(out, indent, depth);
+        out += ']';
         break;
-      case Kind::Object:
-        if (_members.empty()) {
-            os << "{}";
+      }
+      case Kind::Object: {
+        const Object &members = this->members();
+        if (members.empty()) {
+            out += "{}";
             break;
         }
-        os << '{';
-        for (size_t i = 0; i < _members.size(); ++i) {
+        out += '{';
+        for (size_t i = 0; i < members.size(); ++i) {
             if (i)
-                os << ',';
+                out += ',';
             if (indent)
-                newlineIndent(os, indent, depth + 1);
-            writeEscaped(os, _members[i].first);
-            os << (indent ? ": " : ":");
-            _members[i].second.writeIndented(os, indent, depth + 1);
+                newlineIndent(out, indent, depth + 1);
+            appendEscaped(out, members[i].first);
+            out += indent ? ": " : ":";
+            members[i].second.writeTo(out, indent, depth + 1);
         }
         if (indent)
-            newlineIndent(os, indent, depth);
-        os << '}';
+            newlineIndent(out, indent, depth);
+        out += '}';
         break;
+      }
     }
 }
 
 void
 Value::write(std::ostream &os, unsigned indent) const
 {
-    writeIndented(os, indent, 0);
+    std::string text = dump(indent);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string
 Value::dump(unsigned indent) const
 {
-    std::ostringstream ss;
-    write(ss, indent);
-    return ss.str();
+    std::string out;
+    writeTo(out, indent, 0);
+    return out;
 }
 
-namespace
-{
-
-/** Recursive-descent parser over a raw character range. */
+/**
+ * Recursive-descent parser over the raw bytes of one document. It
+ * stacks the elements of open aggregates in two reused vectors and
+ * moves each into a payload of its final size when it closes,
+ * appends string runs in bulk and converts numbers where they lie,
+ * without copying the token.
+ */
 class Parser
 {
   public:
-    Parser(const std::string &text) : s(text) {}
+    explicit Parser(const std::string &text)
+        : begin(text.c_str()), p(begin), end(begin + text.size())
+    {
+    }
 
     bool
     parse(Value &out, std::string *err)
     {
-        bool ok = value(out) && (skipWs(), pos == s.size());
+        bool ok = value(out, 0);
+        if (ok) {
+            skipWs();
+            if (p != end)
+                ok = fail("trailing garbage");
+        }
         if (!ok && err)
-            *err = error.empty()
-                       ? csprintf("json: trailing garbage at byte %zu",
-                                  pos)
-                       : error;
+            *err = error;
         return ok;
     }
 
   private:
+    /** Objects up to this size look for a duplicate key by scanning. */
+    static constexpr size_t kLinearKeys = 32;
+
     bool
     fail(const char *what)
     {
-        if (error.empty())
-            error = csprintf("json: %s at byte %zu", what, pos);
+        if (error.empty()) {
+            error = csprintf("json: %s at byte %zu", what,
+                             static_cast<size_t>(p - begin));
+        }
         return false;
+    }
+
+    static bool
+    isDigit(char c)
+    {
+        return c >= '0' && c <= '9';
     }
 
     void
     skipWs()
     {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            ++pos;
+        while (p < end &&
+               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
+            ++p;
     }
 
     bool
-    literal(const char *lit)
+    literal(const char *lit, size_t n)
     {
-        size_t n = std::strlen(lit);
-        if (s.compare(pos, n, lit) != 0)
+        if (static_cast<size_t>(end - p) < n || std::memcmp(p, lit, n))
             return fail("bad literal");
-        pos += n;
+        p += n;
         return true;
     }
 
     bool
-    value(Value &out)
+    value(Value &out, unsigned depth)
     {
         skipWs();
-        if (pos >= s.size())
+        if (p == end)
             return fail("unexpected end of input");
-        switch (s[pos]) {
+        switch (*p) {
           case 'n':
             out = Value();
-            return literal("null");
+            return literal("null", 4);
           case 't':
             out = Value(true);
-            return literal("true");
+            return literal("true", 4);
           case 'f':
             out = Value(false);
-            return literal("false");
+            return literal("false", 5);
           case '"': {
             std::string str;
             if (!string(str))
@@ -331,190 +433,286 @@ class Parser
             return true;
           }
           case '[':
-            return array(out);
           case '{':
-            return object(out);
+            if (depth == kMaxDepth) {
+                return fail(
+                    csprintf("nesting deeper than %u", kMaxDepth)
+                        .c_str());
+            }
+            return *p == '[' ? array(out, depth + 1)
+                             : object(out, depth + 1);
           default:
             return number(out);
         }
     }
 
     bool
+    hex4(unsigned &cp)
+    {
+        if (end - p < 4)
+            return fail("bad \\u escape");
+        cp = 0;
+        for (int i = 0; i < 4; ++i, ++p) {
+            char h = *p;
+            cp <<= 4;
+            if (h >= '0' && h <= '9')
+                cp |= h - '0';
+            else if (h >= 'a' && h <= 'f')
+                cp |= h - 'a' + 10;
+            else if (h >= 'A' && h <= 'F')
+                cp |= h - 'A' + 10;
+            else
+                return fail("bad \\u escape");
+        }
+        return true;
+    }
+
+    bool
     string(std::string &out)
     {
-        if (s[pos] != '"')
-            return fail("expected string");
-        ++pos;
-        out.clear();
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos];
-            if (c == '\\') {
-                if (++pos >= s.size())
-                    return fail("bad escape");
-                switch (s[pos]) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (pos + 4 >= s.size())
-                        return fail("bad \\u escape");
-                    unsigned cp = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = s[pos + 1 + i];
-                        cp <<= 4;
-                        if (h >= '0' && h <= '9')
-                            cp |= h - '0';
-                        else if (h >= 'a' && h <= 'f')
-                            cp |= h - 'a' + 10;
-                        else if (h >= 'A' && h <= 'F')
-                            cp |= h - 'A' + 10;
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    pos += 4;
-                    // UTF-8 encode the BMP code point (no surrogate
-                    // pairing; the writer never emits them).
-                    if (cp < 0x80) {
-                        out += static_cast<char>(cp);
-                    } else if (cp < 0x800) {
-                        out += static_cast<char>(0xc0 | (cp >> 6));
-                        out += static_cast<char>(0x80 | (cp & 0x3f));
-                    } else {
-                        out += static_cast<char>(0xe0 | (cp >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((cp >> 6) & 0x3f));
-                        out += static_cast<char>(0x80 | (cp & 0x3f));
-                    }
-                    break;
-                  }
-                  default:
-                    return fail("bad escape");
+        ++p; // opening quote
+        for (;;) {
+            const char *run = p;
+            while (p < end && *p != '"' && *p != '\\' &&
+                   static_cast<unsigned char>(*p) >= 0x20)
+                ++p;
+            out.append(run, p);
+            if (p == end)
+                return fail("unterminated string");
+            if (*p == '"') {
+                ++p;
+                return true;
+            }
+            if (*p != '\\')
+                return fail("control character in string");
+            if (++p == end)
+                return fail("bad escape");
+            char c = *p++;
+            switch (c) {
+              case '"': out += '"'; break;
+              case '\\': out += '\\'; break;
+              case '/': out += '/'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case 'n': out += '\n'; break;
+              case 'r': out += '\r'; break;
+              case 't': out += '\t'; break;
+              case 'u': {
+                unsigned cp;
+                if (!hex4(cp))
+                    return false;
+                // UTF-8 encode the BMP code point.
+                if (cp < 0x80) {
+                    out += static_cast<char>(cp);
+                } else if (cp < 0x800) {
+                    out += static_cast<char>(0xc0 | (cp >> 6));
+                    out += static_cast<char>(0x80 | (cp & 0x3f));
+                } else {
+                    out += static_cast<char>(0xe0 | (cp >> 12));
+                    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+                    out += static_cast<char>(0x80 | (cp & 0x3f));
                 }
-                ++pos;
-            } else {
-                out += c;
-                ++pos;
+                break;
+              }
+              default:
+                --p;
+                return fail("bad escape");
             }
         }
-        if (pos >= s.size())
-            return fail("unterminated string");
-        ++pos; // closing quote
+    }
+
+    /** One or more digits, or fail with @p what. */
+    bool
+    digits(const char *what)
+    {
+        if (p == end || !isDigit(*p))
+            return fail(what);
+        while (p < end && isDigit(*p))
+            ++p;
         return true;
     }
 
     bool
     number(Value &out)
     {
-        size_t start = pos;
-        if (pos < s.size() && s[pos] == '-')
-            ++pos;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-                s[pos] == '+' || s[pos] == '-'))
-            ++pos;
-        if (pos == start)
+        const char *start = p;
+        bool negative = p < end && *p == '-';
+        if (negative)
+            ++p;
+        if (p == end || !isDigit(*p)) {
+            p = start;
             return fail("expected value");
-        char *end = nullptr;
-        std::string tok = s.substr(start, pos - start);
-        // Non-negative integer literals that fit uint64 parse
-        // exactly, so 64-bit counters/seeds round-trip losslessly.
-        if (tok.find_first_of(".eE-") == std::string::npos) {
-            errno = 0;
-            unsigned long long u = std::strtoull(tok.c_str(), &end, 10);
-            if (end && *end == '\0' && errno == 0) {
-                out = Value(static_cast<uint64_t>(u));
+        }
+        if (*p == '0') {
+            ++p;
+            if (p < end && isDigit(*p))
+                return fail("leading zero in number");
+        } else {
+            while (p < end && isDigit(*p))
+                ++p;
+        }
+        bool integral = true;
+        if (p < end && *p == '.') {
+            ++p;
+            integral = false;
+            if (!digits("expected digit after '.'"))
+                return false;
+        }
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            ++p;
+            integral = false;
+            if (p < end && (*p == '+' || *p == '-'))
+                ++p;
+            if (!digits("expected exponent digit"))
+                return false;
+        }
+        // Non-negative integer literals that fit uint64 stay exact,
+        // so 64-bit counters/seeds round-trip losslessly; larger
+        // ones fall back to the double, as strtoull's ERANGE did.
+        if (integral && !negative) {
+            uint64_t u = 0;
+            std::from_chars_result r = std::from_chars(start, p, u);
+            if (r.ec == std::errc() && r.ptr == p) {
+                out = Value(u);
                 return true;
             }
         }
-        double d = std::strtod(tok.c_str(), &end);
-        if (!end || *end != '\0')
+        // The token is a complete RFC-8259 number, so strtod reads
+        // exactly it unless what follows makes a longer C literal
+        // (a hex float after "-0"), which is garbage here anyway.
+        char *stop = nullptr;
+        double d = std::strtod(start, &stop);
+        if (stop != p)
             return fail("bad number");
+        if (std::isinf(d)) {
+            p = start;
+            return fail("number out of range");
+        }
         out = Value(d);
         return true;
     }
 
     bool
-    array(Value &out)
+    array(Value &out, unsigned depth)
     {
-        ++pos; // '['
+        ++p; // '['
         out = Value::array();
         skipWs();
-        if (pos < s.size() && s[pos] == ']') {
-            ++pos;
+        if (p < end && *p == ']') {
+            ++p;
             return true;
         }
+        const size_t base = values.size();
         for (;;) {
             Value elem;
-            if (!value(elem))
+            if (!value(elem, depth))
                 return false;
-            out.push(std::move(elem));
+            values.push_back(std::move(elem));
             skipWs();
-            if (pos >= s.size())
+            if (p == end)
                 return fail("unterminated array");
-            if (s[pos] == ',') {
-                ++pos;
+            if (*p == ',') {
+                ++p;
                 continue;
             }
-            if (s[pos] == ']') {
-                ++pos;
-                return true;
+            if (*p == ']') {
+                ++p;
+                break;
             }
             return fail("expected ',' or ']'");
         }
+        Value::Array &items = out.arrayPayload();
+        items.reserve(values.size() - base);
+        for (size_t i = base; i < values.size(); ++i)
+            items.push_back(std::move(values[i]));
+        values.resize(base);
+        return true;
     }
 
     bool
-    object(Value &out)
+    object(Value &out, unsigned depth)
     {
-        ++pos; // '{'
+        ++p; // '{'
         out = Value::object();
         skipWs();
-        if (pos < s.size() && s[pos] == '}') {
-            ++pos;
+        if (p < end && *p == '}') {
+            ++p;
             return true;
         }
+        const size_t base = members.size();
+        std::unordered_set<std::string> seen; // past kLinearKeys only
         for (;;) {
             skipWs();
-            if (pos >= s.size() || s[pos] != '"')
+            if (p == end || *p != '"')
                 return fail("expected object key");
+            const char *keyStart = p;
             std::string key;
             if (!string(key))
                 return false;
+            if (!uniqueKey(base, seen, key)) {
+                p = keyStart;
+                return fail("duplicate object key");
+            }
             skipWs();
-            if (pos >= s.size() || s[pos] != ':')
+            if (p == end || *p != ':')
                 return fail("expected ':'");
-            ++pos;
+            ++p;
             Value member;
-            if (!value(member))
+            if (!value(member, depth))
                 return false;
-            out.set(key, std::move(member));
+            members.emplace_back(std::move(key), std::move(member));
             skipWs();
-            if (pos >= s.size())
+            if (p == end)
                 return fail("unterminated object");
-            if (s[pos] == ',') {
-                ++pos;
+            if (*p == ',') {
+                ++p;
                 continue;
             }
-            if (s[pos] == '}') {
-                ++pos;
-                return true;
+            if (*p == '}') {
+                ++p;
+                break;
             }
             return fail("expected ',' or '}'");
         }
+        Value::Object &obj = out.objectPayload();
+        obj.reserve(members.size() - base);
+        for (size_t i = base; i < members.size(); ++i)
+            obj.push_back(std::move(members[i]));
+        members.erase(members.begin() + base, members.end());
+        return true;
     }
 
-    const std::string &s;
-    size_t pos = 0;
-    std::string error;
-};
+    /**
+     * Whether @p key is new to the object whose members start at
+     * @p base: a scan while the object is small, then a hash set of
+     * every key seen so far.
+     */
+    bool
+    uniqueKey(size_t base, std::unordered_set<std::string> &seen,
+              const std::string &key) const
+    {
+        if (members.size() - base < kLinearKeys) {
+            for (size_t i = base; i < members.size(); ++i)
+                if (members[i].first == key)
+                    return false;
+            return true;
+        }
+        if (seen.empty())
+            for (size_t i = base; i < members.size(); ++i)
+                seen.insert(members[i].first);
+        return seen.insert(key).second;
+    }
 
-} // namespace
+    const char *const begin;
+    const char *p;
+    const char *const end;
+    std::string error;
+    // Elements and members of the aggregates still open, innermost
+    // last: each one closes into a payload allocated at its final
+    // size.
+    std::vector<Value> values;
+    std::vector<Value::Member> members;
+};
 
 bool
 Value::parse(const std::string &text, Value &out, std::string *err)

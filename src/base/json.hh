@@ -3,13 +3,35 @@
  * A minimal dependency-free JSON value type with a writer and a
  * strict recursive-descent parser.
  *
- * The campaign driver uses it to emit machine-readable reports and
+ * The campaign driver uses it to emit machine-readable reports, the
+ * snapshot subsystem to hold and serialise machine checkpoints, and
  * the tests use the parser to round-trip them; System::dumpStatsJson
  * uses it for structured single-run stats. Deliberately small: no
  * comments, no NaN/Inf (written as null), objects preserve insertion
  * order, numbers are doubles (integral values in the exactly
- * representable range are printed without a decimal point so
- * uint64 counters round-trip textually).
+ * representable range are printed without a decimal point) unless
+ * they were built from, or parsed as, a non-negative integer that
+ * fits uint64, which is kept and printed exactly.
+ *
+ * Node layout: a Value is 16 bytes, a kind byte and an exact-uint
+ * flag beside one 8-byte union of {bool, double, exact uint64,
+ * owning pointer to a std::string, array or object payload}. A null
+ * payload pointer is the empty string, array or object, so empty
+ * aggregates cost no allocation; items() and members() return a
+ * shared empty container for every other kind.
+ *
+ * Writer: dump() appends every token to one std::string (numbers
+ * through std::to_chars, strings escaped a run at a time) and
+ * write() hands that buffer to the stream in one call.
+ *
+ * Grammar (RFC 8259, whole input, surrounding whitespace allowed):
+ * numbers are -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and must
+ * be finite as a double; strings hold no raw control bytes and only
+ * the eight short escapes plus four-hex-digit u-escapes (BMP, UTF-8
+ * encoded; no surrogate pairing, the writer never emits them); an
+ * object never repeats a key; arrays and objects nest at most
+ * kMaxDepth deep.
+ * Every rejection reads "json: <what> at byte <offset>".
  */
 
 #ifndef CHEX_BASE_JSON_HH
@@ -26,6 +48,11 @@ namespace chex
 namespace json
 {
 
+/** Deepest array/object nesting Value::parse accepts. */
+constexpr unsigned kMaxDepth = 512;
+
+class Parser;
+
 /** One JSON value (null, bool, number, string, array, or object). */
 class Value
 {
@@ -40,40 +67,57 @@ class Value
         Object,
     };
 
-    Value() = default;
-    Value(std::nullptr_t) {}
-    Value(bool b) : _kind(Kind::Bool), _bool(b) {}
-    Value(double d) : _kind(Kind::Number), _num(d) {}
+    using Array = std::vector<Value>;
+    using Member = std::pair<std::string, Value>;
+    using Object = std::vector<Member>;
+
+    Value() noexcept { _u.uint = 0; }
+    Value(std::nullptr_t) noexcept : Value() {}
+    Value(bool b) noexcept : Value(Kind::Bool) { _u.boolean = b; }
+    Value(double d) noexcept : Value(Kind::Number) { _u.num = d; }
     // Non-negative signed integers keep the exact-uint flag too, so
     // asUint64() never round-trips an int-constructed counter
     // through its double approximation.
-    Value(int i) : _kind(Kind::Number), _num(i)
+    Value(int i) noexcept : Value(static_cast<int64_t>(i)) {}
+    Value(unsigned u) noexcept : Value(static_cast<uint64_t>(u)) {}
+    Value(int64_t i) noexcept : Value(Kind::Number)
     {
-        if (i >= 0) {
-            _uint = static_cast<uint64_t>(i);
-            _exactUint = true;
-        }
-    }
-    Value(unsigned u) : Value(static_cast<uint64_t>(u)) {}
-    Value(int64_t i)
-        : _kind(Kind::Number), _num(static_cast<double>(i))
-    {
-        if (i >= 0) {
-            _uint = static_cast<uint64_t>(i);
-            _exactUint = true;
-        }
+        _exactUint = i >= 0;
+        if (_exactUint)
+            _u.uint = static_cast<uint64_t>(i);
+        else
+            _u.num = static_cast<double>(i);
     }
     // Unsigned 64-bit values (counters, seeds) stay exact: the
     // writer prints the integer, not its double approximation.
-    Value(uint64_t u)
-        : _kind(Kind::Number), _num(static_cast<double>(u)),
-          _uint(u), _exactUint(true) {}
-    Value(const char *s) : _kind(Kind::String), _str(s) {}
-    Value(std::string s) : _kind(Kind::String), _str(std::move(s)) {}
+    Value(uint64_t u) noexcept : Value(Kind::Number)
+    {
+        _exactUint = true;
+        _u.uint = u;
+    }
+    Value(const char *s) : Value(std::string(s)) {}
+    Value(std::string s);
+
+    Value(const Value &other);
+    Value(Value &&other) noexcept
+        : _kind(other._kind), _exactUint(other._exactUint), _u(other._u)
+    {
+        other._kind = Kind::Null;
+    }
+    /** Copy-and-swap; self- and subtree-assignment are safe. */
+    Value &
+    operator=(Value other) noexcept
+    {
+        std::swap(_kind, other._kind);
+        std::swap(_exactUint, other._exactUint);
+        std::swap(_u, other._u);
+        return *this;
+    }
+    ~Value() { release(); }
 
     /** Empty-aggregate factories (distinguish {} from []). */
-    static Value object();
-    static Value array();
+    static Value object() { return Value(Kind::Object); }
+    static Value array() { return Value(Kind::Array); }
 
     Kind kind() const { return _kind; }
     bool isNull() const { return _kind == Kind::Null; }
@@ -91,17 +135,41 @@ class Value
      * non-negative integer literal; otherwise the double, cast.
      */
     uint64_t asUint64() const;
+    /** Whether this is a number held as an exact uint64. */
+    bool isExactUint() const
+    {
+        return _kind == Kind::Number && _exactUint;
+    }
     const std::string &str() const;
     /** @} */
 
     /** Append to an array (converts a Null value to an array). */
-    Value &push(Value v);
+    Value &push(Value v) &;
 
     /**
      * Set an object member (converts a Null value to an object);
      * returns *this so construction chains.
      */
-    Value &set(const std::string &key, Value v);
+    Value &set(const std::string &key, Value v) &;
+
+    /**
+     * @{ The same on a temporary: the chain yields an rvalue, so
+     * `a.push(Value::object().set(...))` moves the built record in
+     * instead of copying it.
+     */
+    Value &&
+    push(Value v) &&
+    {
+        push(std::move(v));
+        return std::move(*this);
+    }
+    Value &&
+    set(const std::string &key, Value v) &&
+    {
+        set(key, std::move(v));
+        return std::move(*this);
+    }
+    /** @} */
 
     /** Object member lookup; nullptr when absent or not an object. */
     const Value *find(const std::string &key) const;
@@ -115,12 +183,10 @@ class Value
     /** Element/member count (0 for scalars). */
     size_t size() const;
 
-    const std::vector<Value> &items() const { return _items; }
-    const std::vector<std::pair<std::string, Value>> &
-    members() const
-    {
-        return _members;
-    }
+    /** Array elements (empty for every other kind). */
+    const Array &items() const;
+    /** Object members in insertion order (empty for other kinds). */
+    const Object &members() const;
 
     /**
      * Serialize. @p indent 0 writes compact single-line JSON;
@@ -128,33 +194,40 @@ class Value
      */
     void write(std::ostream &os, unsigned indent = 0) const;
 
-    /** write() into a string. */
+    /** The write() text as a string. */
     std::string dump(unsigned indent = 0) const;
 
     /**
-     * Strict RFC-8259-style parse of @p text (whole-input; trailing
-     * garbage is an error). Returns false and fills @p err (if
-     * non-null) on malformed input.
+     * Strict RFC-8259 parse of @p text (whole input; trailing
+     * garbage is an error; see the file comment for the grammar).
+     * Returns false and fills @p err (if non-null) with a message
+     * naming the byte offset on malformed input.
      */
     static bool parse(const std::string &text, Value &out,
                       std::string *err = nullptr);
 
   private:
-    void writeIndented(std::ostream &os, unsigned indent,
-                       unsigned depth) const;
+    friend class Parser;
+
+    explicit Value(Kind kind) noexcept : _kind(kind) { _u.uint = 0; }
+    void release() noexcept;
+    Array &arrayPayload();
+    Object &objectPayload();
+    void writeTo(std::string &out, unsigned indent,
+                 unsigned depth) const;
 
     Kind _kind = Kind::Null;
-    bool _bool = false;
-    double _num = 0.0;
-    uint64_t _uint = 0;       // exact value when _exactUint
-    bool _exactUint = false;
-    std::string _str;
-    std::vector<Value> _items;                          // Array
-    std::vector<std::pair<std::string, Value>> _members; // Object
+    bool _exactUint = false; // Number: _u.uint is exact
+    union Payload
+    {
+        bool boolean;
+        double num;
+        uint64_t uint;
+        std::string *str; // String; nullptr is ""
+        Array *arr;       // Array; nullptr is []
+        Object *obj;      // Object; nullptr is {}
+    } _u;
 };
-
-/** Write @p s as a quoted, escaped JSON string literal. */
-void writeEscaped(std::ostream &os, const std::string &s);
 
 /**
  * @{ @name Parse→struct helpers

@@ -90,37 +90,41 @@ fromJson(const json::Value &v, Bundle *out, std::string *err)
     };
     if (!v.isObject())
         return fail("snapshot bundle is not a JSON object");
-    if (json::getString(v, "format", "") != BundleFormatTag) {
+    std::string format, why;
+    if (!json::require(v, "format", format, &why))
+        return fail("snapshot bundle: " + why);
+    if (format != BundleFormatTag) {
         return fail("unrecognized snapshot bundle format (want " +
                     std::string(BundleFormatTag) + ")");
     }
-    const json::Value *jentries = v.find("entries");
-    if (!jentries || !jentries->isArray())
-        return fail("snapshot bundle has no entries array");
-
     Bundle b;
-    b.campaignSeed = json::getUint(v, "campaignSeed", 0);
-    b.warmupMacros = json::getUint(v, "warmupMacros", 0);
+    const json::Value *jentries =
+        json::member(v, "entries", json::Value::Kind::Array, &why);
+    if (!jentries ||
+        !json::require(v, "campaignSeed", b.campaignSeed, &why) ||
+        !json::require(v, "warmupMacros", b.warmupMacros, &why))
+        return fail("snapshot bundle: " + why);
     for (size_t i = 0; i < jentries->size(); ++i) {
         const json::Value &je = jentries->at(i);
+        std::string where = "snapshot bundle entry " + std::to_string(i);
         if (!je.isObject())
-            return fail("snapshot bundle entry is not an object");
+            return fail(where + " is not an object");
         MachineEntry e;
-        e.profileName = json::getString(je, "profile", "");
-        e.variant = json::getString(je, "variant", "");
-        e.seed = json::getUint(je, "seed", 0);
-        e.warmupMacros = json::getUint(je, "warmupMacros", 0);
-        if (!stateHashFromHex(json::getString(je, "specKey", ""),
-                              &e.specKey) ||
-            !stateHashFromHex(json::getString(je, "stateHash", ""),
-                              &e.stateHash)) {
-            return fail("snapshot bundle entry '" + e.profileName +
-                        "/" + e.variant + "' has a malformed key hash");
-        }
-        const json::Value *jstate = je.find("state");
-        if (!jstate)
-            return fail("snapshot bundle entry '" + e.profileName +
-                        "/" + e.variant + "' has no state");
+        std::string spec_key, state_hash;
+        const json::Value *jstate = nullptr;
+        if (!json::require(je, "profile", e.profileName, &why) ||
+            !json::require(je, "variant", e.variant, &why) ||
+            !json::require(je, "seed", e.seed, &why) ||
+            !json::require(je, "warmupMacros", e.warmupMacros, &why) ||
+            !json::require(je, "specKey", spec_key, &why) ||
+            !json::require(je, "stateHash", state_hash, &why) ||
+            !(jstate = json::member(je, "state", json::Value::Kind::Object,
+                                    &why)))
+            return fail(where + ": " + why);
+        where += " '" + e.profileName + "/" + e.variant + "'";
+        if (!stateHashFromHex(spec_key, &e.specKey) ||
+            !stateHashFromHex(state_hash, &e.stateHash))
+            return fail(where + " has a malformed key hash");
         e.state = *jstate;
         // Verify the recorded state digest against the bytes we just
         // parsed: bundles are large files that get copied between
@@ -128,8 +132,7 @@ fromJson(const json::Value &v, Bundle *out, std::string *err)
         // not restore into a subtly different simulation.
         uint64_t got = jsonStateHash(e.state);
         if (got != e.stateHash) {
-            return fail("snapshot bundle entry '" + e.profileName +
-                        "/" + e.variant + "' is corrupt: state hash " +
+            return fail(where + " is corrupt: state hash " +
                         stateHashHex(got) + " != recorded " +
                         stateHashHex(e.stateHash));
         }

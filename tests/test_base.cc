@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the base utilities: logging formatters, the
- * deterministic RNG, integer math, statistics, and table rendering.
+ * deterministic RNG, integer math, statistics, table rendering, and
+ * base64.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "base/base64.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -213,6 +215,38 @@ TEST(Table, NumberFormatting)
 {
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");
     EXPECT_EQ(Table::pct(0.123, 1), "12.3%");
+}
+
+TEST(Base64, RoundTripsEveryLength)
+{
+    // RFC 4648 vectors, then every tail length over all byte values.
+    EXPECT_EQ(base64Encode("", 0), "");
+    EXPECT_EQ(base64Encode("f", 1), "Zg==");
+    EXPECT_EQ(base64Encode("fo", 2), "Zm8=");
+    EXPECT_EQ(base64Encode("foo", 3), "Zm9v");
+    EXPECT_EQ(base64Encode("foobar", 6), "Zm9vYmFy");
+    Random rng(7);
+    for (size_t n = 0; n < 70; ++n) {
+        std::vector<uint8_t> data(n);
+        for (uint8_t &b : data)
+            b = static_cast<uint8_t>(rng.next());
+        std::string text = base64Encode(data);
+        EXPECT_EQ(text.size(), (n + 2) / 3 * 4);
+        std::vector<uint8_t> back{1, 2, 3};
+        ASSERT_TRUE(base64Decode(text, back)) << text;
+        EXPECT_EQ(back, data);
+    }
+}
+
+TEST(Base64, RejectsMalformedText)
+{
+    std::vector<uint8_t> out;
+    for (const char *bad :
+         {"Zg=", "Zg===", "Z===", "====", "Zm=v", "Zg==Zg==", "Zm9*",
+          "Zm9\n", "Zm 9"})
+        EXPECT_FALSE(base64Decode(bad, out)) << bad;
+    EXPECT_TRUE(base64Decode("Zm9vYg==", out));
+    EXPECT_EQ(std::string(out.begin(), out.end()), "foob");
 }
 
 } // namespace

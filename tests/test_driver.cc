@@ -8,8 +8,7 @@
  * spec/seed/scale changes, failed jobs never satisfying, cached
  * bit-identity), campaign sharding (the union of K shards is
  * bit-identical to the unsharded run) and report merging (seed /
- * option / coverage validation), the JSON value type (writer +
- * parser round trip), the campaign report / single-run stats
+ * option / coverage validation), the campaign report / single-run stats
  * serialization in both directions (v1-v5 parse), snapshot-fanned
  * campaigns (bit-identity vs from-scratch, folded spec hashes
  * keeping cache modes apart), record/replay of report rows
@@ -431,107 +430,6 @@ TEST(Isolation, MatchesInProcessBitForBit)
         EXPECT_DOUBLE_EQ(a.jobs[i].run.capCacheMissRate,
                          b.jobs[i].run.capCacheMissRate);
     }
-}
-
-TEST(Json, WriteParseRoundTrip)
-{
-    json::Value v = json::Value::object()
-                        .set("int", uint64_t(1234567890123ull))
-                        .set("neg", -3.5)
-                        .set("flag", true)
-                        .set("none", json::Value())
-                        .set("text", "line\n\"quoted\"\ttab")
-                        .set("arr", json::Value::array()
-                                        .push(1)
-                                        .push("two")
-                                        .push(false));
-    std::string text = v.dump(2);
-
-    json::Value back;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(text, back, &err)) << err;
-    EXPECT_EQ(back.at("int").number(), 1234567890123.0);
-    EXPECT_EQ(back.at("neg").number(), -3.5);
-    EXPECT_TRUE(back.at("flag").boolean());
-    EXPECT_TRUE(back.at("none").isNull());
-    EXPECT_EQ(back.at("text").str(), "line\n\"quoted\"\ttab");
-    ASSERT_EQ(back.at("arr").size(), 3u);
-    EXPECT_EQ(back.at("arr").at(size_t(1)).str(), "two");
-    // Canonical re-dump is stable.
-    EXPECT_EQ(back.dump(2), text);
-}
-
-TEST(Json, Uint64RoundTripsExactly)
-{
-    // Values above 2^53 (e.g. derived seeds) must not be flattened
-    // through a double on the way to disk or back.
-    const uint64_t big = 10451216379200823296ull;
-    json::Value v = json::Value::object().set("seed", big);
-    std::string text = v.dump();
-    EXPECT_NE(text.find("10451216379200823296"), std::string::npos)
-        << text;
-
-    json::Value back;
-    ASSERT_TRUE(json::Value::parse(text, back, nullptr));
-    EXPECT_EQ(back.at("seed").asUint64(), big);
-}
-
-TEST(Json, IntConstructionIsExact)
-{
-    // int-constructed non-negative numbers carry the exact-uint flag
-    // just like uint64_t-constructed ones, so asUint64() never
-    // detours through the double approximation.
-    EXPECT_EQ(json::Value(42).dump(), "42");
-    EXPECT_EQ(json::Value(42).asUint64(), 42u);
-    EXPECT_EQ(json::Value(0).asUint64(), 0u);
-    EXPECT_EQ(json::Value(int64_t(99)).asUint64(), 99u);
-    EXPECT_EQ(json::Value(-3).dump(), "-3");
-    EXPECT_EQ(json::Value(-3).number(), -3.0);
-}
-
-TEST(Json, Uint64MaxRoundTrips)
-{
-    const uint64_t max = UINT64_MAX;
-    json::Value v = json::Value::object().set("m", max);
-    std::string text = v.dump();
-    EXPECT_NE(text.find("18446744073709551615"), std::string::npos)
-        << text;
-
-    json::Value back;
-    ASSERT_TRUE(json::Value::parse(text, back, nullptr));
-    EXPECT_EQ(back.at("m").asUint64(), max);
-    // And the canonical re-dump keeps the exact digits.
-    EXPECT_EQ(back.dump(), text);
-}
-
-TEST(Json, ObjectGetterHelpersApplyDefaults)
-{
-    json::Value v;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(
-        "{\"b\": true, \"u\": 9, \"d\": 1.5, \"s\": \"x\"}", v, &err))
-        << err;
-    EXPECT_TRUE(json::getBool(v, "b", false));
-    EXPECT_EQ(json::getUint(v, "u", 0), 9u);
-    EXPECT_EQ(json::getDouble(v, "d", 0.0), 1.5);
-    EXPECT_EQ(json::getString(v, "s", ""), "x");
-    // Absent or wrong-kind members fall back to the default.
-    EXPECT_TRUE(json::getBool(v, "missing", true));
-    EXPECT_EQ(json::getUint(v, "s", 5), 5u);
-    EXPECT_EQ(json::getString(v, "u", "dflt"), "dflt");
-    EXPECT_EQ(json::getUint(json::Value(3.0), "u", 2), 2u);
-}
-
-TEST(Json, ParserRejectsMalformed)
-{
-    json::Value out;
-    EXPECT_FALSE(json::Value::parse("{", out));
-    EXPECT_FALSE(json::Value::parse("[1,]", out));
-    EXPECT_FALSE(json::Value::parse("{\"a\":1} trailing", out));
-    EXPECT_FALSE(json::Value::parse("\"unterminated", out));
-    EXPECT_TRUE(json::Value::parse(" [ ] ", out));
-    EXPECT_TRUE(json::Value::parse("{\"u\":\"\\u0041\"}", out));
-    EXPECT_EQ(out.at("u").str(), "A");
 }
 
 TEST(Report, CampaignJsonRoundTrips)

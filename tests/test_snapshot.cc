@@ -40,6 +40,17 @@ configFor(VariantKind kind)
     return cfg;
 }
 
+/** @p obj without member @p key. */
+json::Value
+without(const json::Value &obj, const std::string &key)
+{
+    json::Value out = json::Value::object();
+    for (const auto &[k, v] : obj.members())
+        if (k != key)
+            out.set(k, v);
+    return out;
+}
+
 /** Fields of RunResult that must survive a pause bit-identically. */
 void
 expectIdenticalResults(const RunResult &a, const RunResult &b)
@@ -237,6 +248,49 @@ TEST(Snapshot, CorruptBundleRejected)
     }
 }
 
+TEST(Snapshot, MalformedBundleRejectedByName)
+{
+    snapshot::Bundle bundle;
+    bundle.campaignSeed = 3;
+    bundle.warmupMacros = Warmup;
+    snapshot::MachineEntry entry;
+    std::string err;
+    ASSERT_TRUE(snapshot::buildEntry(testProfile(),
+                                     configFor(VariantKind::Baseline),
+                                     TestSeed, Warmup, 1, &entry, &err))
+        << err;
+    bundle.entries.push_back(std::move(entry));
+    const json::Value doc = snapshot::toJson(bundle);
+    snapshot::Bundle out;
+    ASSERT_TRUE(snapshot::fromJson(doc, &out, &err)) << err;
+
+    // @p bad must be refused with an error naming @p name.
+    auto rejects = [&](const json::Value &bad, const std::string &name) {
+        SCOPED_TRACE(name);
+        err.clear();
+        EXPECT_FALSE(snapshot::fromJson(bad, &out, &err));
+        EXPECT_NE(err.find("'" + name + "'"), std::string::npos) << err;
+    };
+    const json::Value junk(true); // no bundle member is a bool
+    for (const char *key :
+         {"format", "campaignSeed", "warmupMacros", "entries"}) {
+        json::Value bad = doc;
+        rejects(without(doc, key), key);
+        rejects(bad.set(key, junk), key);
+    }
+    const json::Value &je = doc.at("entries").at(size_t{0});
+    for (const char *key : {"profile", "variant", "seed", "warmupMacros",
+                            "specKey", "stateHash", "state"}) {
+        json::Value bad = doc, item = je;
+        rejects(bad.set("entries",
+                        json::Value::array().push(without(je, key))),
+                key);
+        rejects(bad.set("entries",
+                        json::Value::array().push(item.set(key, junk))),
+                key);
+    }
+}
+
 TEST(Snapshot, MismatchedRestoreRejected)
 {
     BenchmarkProfile p = testProfile();
@@ -320,22 +374,6 @@ TEST(Snapshot, WarmupPastEndOfRunRejected)
                                       &err));
     EXPECT_NE(err.find("terminated before"), std::string::npos) << err;
 }
-
-namespace
-{
-
-/** @p obj without member @p key. */
-json::Value
-without(const json::Value &obj, const std::string &key)
-{
-    json::Value out = json::Value::object();
-    for (const auto &[k, v] : obj.members())
-        if (k != key)
-            out.set(k, v);
-    return out;
-}
-
-} // anonymous namespace
 
 TEST(Snapshot, MalformedRunStateRejectedByName)
 {
