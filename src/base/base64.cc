@@ -1,5 +1,7 @@
 #include "base64.hh"
 
+#include <cstdint>
+
 namespace chex
 {
 
@@ -58,9 +60,8 @@ base64Encode(const void *data, size_t n)
 }
 
 bool
-base64Decode(const std::string &text, std::vector<uint8_t> &out)
+base64Decode(const std::string &text, void *out, size_t size)
 {
-    out.clear();
     size_t n = text.size();
     if (n % 4 != 0)
         return false;
@@ -69,10 +70,11 @@ base64Decode(const std::string &text, std::vector<uint8_t> &out)
     size_t pad = 0;
     if (n && text[n - 1] == '=')
         pad = text[n - 2] == '=' ? 2 : 1;
-    out.resize(n / 4 * 3 - pad);
+    if (n / 4 * 3 - pad != size)
+        return false;
     const unsigned char *in =
         reinterpret_cast<const unsigned char *>(text.data());
-    uint8_t *dst = out.data();
+    uint8_t *dst = static_cast<uint8_t *>(out);
     size_t full = pad ? n - 4 : n; // groups without padding
     for (size_t i = 0; i < full; i += 4, dst += 3) {
         int a = kDecode.value[in[i]], b = kDecode.value[in[i + 1]];
@@ -97,6 +99,15 @@ base64Decode(const std::string &text, std::vector<uint8_t> &out)
             dst[1] = uint8_t(v >> 8);
     }
     return true;
+}
+
+bool
+base64Decode(const std::string &text, std::vector<uint8_t> &out)
+{
+    size_t n = text.size();
+    size_t pad = n >= 4 ? (text[n - 1] == '=') + (text[n - 2] == '=') : 0;
+    out.assign(n / 4 * 3 - pad, 0);
+    return base64Decode(text, out.data(), out.size());
 }
 
 } // namespace chex

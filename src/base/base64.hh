@@ -32,6 +32,13 @@ base64Encode(const std::vector<uint8_t> &data)
  */
 bool base64Decode(const std::string &text, std::vector<uint8_t> &out);
 
+/**
+ * Decode padded base64 into exactly @p size bytes at @p out: false
+ * (leaving @p out unspecified) on malformed input or any other
+ * decoded length.
+ */
+bool base64Decode(const std::string &text, void *out, size_t size);
+
 } // namespace chex
 
 #endif // CHEX_BASE_BASE64_HH

@@ -19,6 +19,8 @@
 #define CHEX_BASE_FNV_HH
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -81,6 +83,27 @@ class TaggedHasher
   private:
     uint64_t _hash = 0xcbf29ce484222325ull; // FNV-1a 64 offset basis
 };
+
+/** A digest as 16 lower-case hex digits, the form documents carry. */
+inline std::string
+hashHex(uint64_t hash)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+/** Parse exactly what hashHex() writes; false on anything else. */
+inline bool
+parseHashHex(const std::string &hex, uint64_t *out)
+{
+    if (hex.size() != 16 ||
+        hex.find_first_not_of("0123456789abcdef") != std::string::npos)
+        return false;
+    *out = std::strtoull(hex.c_str(), nullptr, 16);
+    return true;
+}
 
 } // namespace chex
 

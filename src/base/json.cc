@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <unordered_set>
 
+#include "base/base64.hh"
 #include "base/logging.hh"
 
 namespace chex
@@ -144,7 +146,7 @@ Value::set(const std::string &key, Value v) &
 }
 
 const Value *
-Value::find(const std::string &key) const
+Value::find(std::string_view key) const
 {
     for (const auto &m : members())
         if (m.first == key)
@@ -721,111 +723,138 @@ Value::parse(const std::string &text, Value &out, std::string *err)
 }
 
 bool
-getBool(const Value &obj, const std::string &key, bool dflt)
+Error::fail(std::string what)
 {
-    const Value *v = obj.find(key);
-    return v && v->isBool() ? v->boolean() : dflt;
+    _path.clear();
+    _what = std::move(what);
+    return false;
 }
 
-uint64_t
-getUint(const Value &obj, const std::string &key, uint64_t dflt)
+void
+Error::within(const char *key)
 {
-    const Value *v = obj.find(key);
-    return v && v->isNumber() ? v->asUint64() : dflt;
+    if (_path.empty() || _path[0] == '[')
+        _path.insert(0, key);
+    else
+        _path.insert(0, std::string(key) + ".");
 }
 
-int64_t
-getInt(const Value &obj, const std::string &key, int64_t dflt)
+void
+Error::within(size_t index)
 {
-    const Value *v = obj.find(key);
-    return v && v->isNumber() ? static_cast<int64_t>(v->number())
-                              : dflt;
-}
-
-double
-getDouble(const Value &obj, const std::string &key, double dflt)
-{
-    const Value *v = obj.find(key);
-    return v && v->isNumber() ? v->number() : dflt;
+    std::string item = csprintf("[%zu]", index);
+    if (!_path.empty() && _path[0] != '[')
+        item += ".";
+    _path.insert(0, item);
 }
 
 std::string
-getString(const Value &obj, const std::string &key,
-          const std::string &dflt)
+Error::message() const
 {
-    const Value *v = obj.find(key);
-    return v && v->isString() ? v->str() : dflt;
+    if (_path.empty())
+        return "value " + _what;
+    if (_path.back() == ']')
+        return "item " + _path + " " + _what;
+    // The member by name, then where it sits when that is deeper.
+    size_t dot = _path.find_last_of(".]");
+    std::string key = dot == std::string::npos ? _path
+                                               : _path.substr(dot + 1);
+    std::string msg = "member '" + key + "' " + _what;
+    return key == _path ? msg : msg + " at " + _path;
 }
 
-const Value *
-member(const Value &obj, const char *key, Value::Kind kind,
-       std::string *err)
+void
+Writer::add(const char *key, Value v)
 {
-    const Value *m = obj.find(key);
-    if (m && m->kind() == kind)
-        return m;
-    if (err)
-        *err = csprintf("member '%s' is %s", key,
-                        m ? "mistyped" : "missing");
-    return nullptr;
-}
-
-bool
-require(const Value &obj, const char *key, bool &out, std::string *err)
-{
-    const Value *m = member(obj, key, Value::Kind::Bool, err);
-    if (m)
-        out = m->boolean();
-    return m != nullptr;
+    obj.objectPayload().emplace_back(key, std::move(v));
 }
 
 bool
-require(const Value &obj, const char *key, std::string &out,
-        std::string *err)
+readBool(const Value &v, bool &out, Error &err)
 {
-    const Value *m = member(obj, key, Value::Kind::String, err);
-    if (m)
-        out = m->str();
-    return m != nullptr;
+    if (!v.isBool())
+        return err.fail("is not a bool");
+    out = v.boolean();
+    return true;
 }
 
 bool
-require(const Value &obj, const char *key, int &out, std::string *err)
+readUint(const Value &v, uint64_t max, uint64_t &out, Error &err)
 {
-    const Value *m = member(obj, key, Value::Kind::Number, err);
-    if (m)
-        out = static_cast<int>(m->number());
-    return m != nullptr;
+    // Exact uints are the only numbers the writer emits for unsigned
+    // members; a negative, fractional or exponent-form number is not
+    // one, and casting its double to an integer would be undefined.
+    if (!v.isExactUint())
+        return err.fail("is not an unsigned integer");
+    if (v.asUint64() > max)
+        return err.fail("is out of range");
+    out = v.asUint64();
+    return true;
 }
 
 bool
-require(const Value &obj, const char *key, unsigned &out,
-        std::string *err)
+readInt(const Value &v, int64_t min, int64_t max, int64_t &out,
+        Error &err)
 {
-    const Value *m = member(obj, key, Value::Kind::Number, err);
-    if (m)
-        out = static_cast<unsigned>(m->asUint64());
-    return m != nullptr;
+    if (v.isExactUint()) {
+        if (v.asUint64() > static_cast<uint64_t>(max))
+            return err.fail("is out of range");
+        out = static_cast<int64_t>(v.asUint64());
+        return true;
+    }
+    if (!v.isNumber())
+        return err.fail("is not an integer");
+    double d = v.number();
+    if (d != std::trunc(d))
+        return err.fail("is not an integer");
+    // max + 1.0 is exact (a power of two) for every signed width.
+    if (!(d >= static_cast<double>(min) &&
+          d < static_cast<double>(max) + 1.0))
+        return err.fail("is out of range");
+    out = static_cast<int64_t>(d);
+    return true;
 }
 
 bool
-require(const Value &obj, const char *key, uint64_t &out,
-        std::string *err)
+readDouble(const Value &v, double &out, Error &err)
 {
-    const Value *m = member(obj, key, Value::Kind::Number, err);
-    if (m)
-        out = m->asUint64();
-    return m != nullptr;
+    if (v.isNull()) {
+        out = std::numeric_limits<double>::quiet_NaN();
+        return true;
+    }
+    if (!v.isNumber())
+        return err.fail("is not a number");
+    out = v.number();
+    return true;
 }
 
 bool
-require(const Value &obj, const char *key, double &out,
-        std::string *err)
+readString(const Value &v, std::string &out, Error &err)
 {
-    const Value *m = member(obj, key, Value::Kind::Number, err);
-    if (m)
-        out = m->number();
-    return m != nullptr;
+    if (!v.isString())
+        return err.fail("is not a string");
+    out = v.str();
+    return true;
+}
+
+bool
+readSize(const Value &v, size_t n, Error &err)
+{
+    if (!v.isArray())
+        return err.fail("is not an array");
+    if (v.size() != n)
+        return err.fail(csprintf("has %zu items, want %zu", v.size(), n));
+    return true;
+}
+
+bool
+readBase64(const Value &v, void *out, size_t n, Error &err)
+{
+    if (!v.isString())
+        return err.fail("is not a string");
+    if (!base64Decode(v.str(), out, n))
+        return err.fail(csprintf("is not base64 of %zu bytes", n));
+    return true;
 }
 
 } // namespace json

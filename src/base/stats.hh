@@ -48,6 +48,14 @@ class Scalar
 
     /** Exact integer count. */
     uint64_t count() const { return _count; }
+    /** @{ Snapshot form (a json.hh adapter): the exact count. */
+    json::Value write() const { return _count; }
+    bool
+    read(const json::Value &v, json::Error &err)
+    {
+        return json::readUint(v, UINT64_MAX, _count, err);
+    }
+    /** @} */
     /** Widened for formulas and JSON (may round past 2^53). */
     double value() const { return static_cast<double>(_count); }
     void reset() { _count = 0; }

@@ -50,24 +50,12 @@ class CapabilityCache
     void clear() { cache.clear(); }
 
     /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value
-    saveState() const
+    template <class Self, class F>
+    static void
+    fields(Self &self, F &f)
     {
-        return json::Value::object()
-            .set("cache", cache.saveState())
-            .set("invalidationsSent", _invalidationsSent);
-    }
-
-    bool
-    restoreState(const json::Value &v)
-    {
-        if (!v.isObject())
-            return false;
-        const json::Value *c = v.find("cache");
-        if (!c || !cache.restoreState(*c))
-            return false;
-        _invalidationsSent = json::getUint(v, "invalidationsSent", 0);
-        return true;
+        f("cache", self.cache);
+        f("invalidationsSent", self._invalidationsSent);
     }
     /** @} */
 

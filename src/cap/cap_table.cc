@@ -240,141 +240,157 @@ CapabilityTable::clear()
     liveCount = 0;
 }
 
-json::Value
-CapabilityTable::saveState() const
+namespace
 {
-    json::Value jcaps = json::Value::array();
+
+/** One capability-map entry. */
+template <class P, class C, class F>
+void
+capFields(P &pid, C &cap, F &f)
+{
+    f("pid", pid);
+    f("base", cap.base);
+    f("bounds", cap.bounds);
+    f("perms", cap.perms);
+}
+
+json::Value
+saveCaps(const PagedCapabilityStore &store)
+{
+    json::Value out = json::Value::array();
     store.forEach([&](Pid pid, const Capability &cap) {
-        jcaps.push(json::Value::object()
-                       .set("pid", pid)
-                       .set("base", cap.base)
-                       .set("bounds", cap.bounds)
-                       .set("perms", cap.perms));
+        out.push(json::writeObject(
+            [&](json::Writer &w) { capFields(pid, cap, w); }));
     });
-
-    // The interval indices are serialized verbatim rather than
-    // rebuilt from the perms bits: on base collisions (e.g. a freed
-    // block re-allocated at the same address) the index keeps the
-    // most recent PID, which a rebuild from the capability store
-    // could not reproduce deterministically.
-    auto index_json = [](const IntervalIndex &index) {
-        json::Value out = json::Value::array();
-        index.forEach([&](uint64_t base, Pid pid) {
-            json::Value pair = json::Value::array();
-            pair.push(base);
-            pair.push(pid);
-            out.push(std::move(pair));
-        });
-        return out;
-    };
-
-    std::vector<Pid> init_pids;
-    init_pids.reserve(initBits.size());
-    for (const auto &[pid, sh] : initBits) {
-        (void)sh;
-        init_pids.push_back(pid);
-    }
-    std::sort(init_pids.begin(), init_pids.end());
-    json::Value jinit = json::Value::array();
-    for (Pid pid : init_pids) {
-        const InitShadow &sh = initBits.at(pid);
-        // Materialize the word bitmap the old representation held,
-        // so the snapshot document stays byte-identical.
-        std::vector<uint64_t> words(sh.words, 0);
-        for (const auto &[lo, hi] : sh.set.items()) {
-            uint64_t end = std::min<uint64_t>(hi, sh.words * 64);
-            for (uint64_t w = lo; w < end; ++w)
-                words[w / 64] |= 1ull << (w % 64);
-        }
-        json::Value jwords = json::Value::array();
-        for (uint64_t w : words)
-            jwords.push(w);
-        jinit.push(json::Value::object()
-                       .set("pid", pid)
-                       .set("words", std::move(jwords)));
-    }
-
-    return json::Value::object()
-        .set("caps", std::move(jcaps))
-        .set("liveByBase", index_json(liveByBase))
-        .set("freedByBase", index_json(freedByBase))
-        .set("initBits", std::move(jinit))
-        .set("nextPid", nextPid)
-        .set("liveCount", liveCount);
+    return out;
 }
 
 bool
-CapabilityTable::restoreState(const json::Value &v)
+restoreCaps(PagedCapabilityStore &store, const json::Value &v,
+            json::Error &err)
 {
-    if (!v.isObject())
-        return false;
-    const json::Value *jcaps = v.find("caps");
-    const json::Value *jlive = v.find("liveByBase");
-    const json::Value *jfreed = v.find("freedByBase");
-    const json::Value *jinit = v.find("initBits");
-    if (!jcaps || !jcaps->isArray() || !jlive || !jlive->isArray() ||
-        !jfreed || !jfreed->isArray() || !jinit || !jinit->isArray()) {
-        return false;
-    }
-    clear();
-    for (const json::Value &je : jcaps->items()) {
-        if (!je.isObject())
-            return false;
+    store.clear();
+    return json::readEach(v, err, [&](const json::Value &item) {
+        Pid pid = NoPid;
         Capability cap;
-        cap.base = json::getUint(je, "base", 0);
-        cap.bounds = static_cast<uint32_t>(json::getUint(je, "bounds", 0));
-        cap.perms = static_cast<uint32_t>(json::getUint(je, "perms", 0));
-        store.assign(static_cast<Pid>(json::getUint(je, "pid", 0)),
-                     cap);
+        bool ok = json::readObject(
+            item, err, [&](json::Reader &r) { capFields(pid, cap, r); });
+        if (ok)
+            store.assign(pid, cap);
+        return ok;
+    });
+}
+
+// The interval indices are serialized verbatim rather than rebuilt
+// from the perms bits: on base collisions (e.g. a freed block
+// re-allocated at the same address) the index keeps the most recent
+// PID, which a rebuild from the capability store could not
+// reproduce deterministically.
+json::Value
+saveIndex(const IntervalIndex &index)
+{
+    std::vector<std::pair<uint64_t, Pid>> pairs;
+    index.forEach(
+        [&](uint64_t base, Pid pid) { pairs.emplace_back(base, pid); });
+    return json::write(pairs);
+}
+
+bool
+restoreIndex(IntervalIndex &index, const json::Value &v,
+             json::Error &err)
+{
+    index.clear();
+    return json::readPairs<uint64_t, Pid>(
+        v, err, [&](uint64_t base, Pid pid) { index.assign(base, pid); });
+}
+
+/** An initialization shadow in its document form: a word bitmap. */
+struct InitRecord
+{
+    Pid pid = NoPid;
+    std::vector<uint64_t> words;
+
+    template <class Self, class F>
+    static void
+    fields(Self &self, F &f)
+    {
+        f("pid", self.pid);
+        f("words", self.words);
     }
-    auto restore_index = [](const json::Value &list,
-                            IntervalIndex &index) {
-        for (const json::Value &pair : list.items()) {
-            if (!pair.isArray() || pair.size() != 2)
-                return false;
-            index.assign(pair.at(size_t(0)).asUint64(),
-                         static_cast<Pid>(
-                             pair.at(size_t(1)).asUint64()));
+};
+
+} // namespace
+
+template <class Self, class F>
+void
+CapabilityTable::fields(Self &self, F &f)
+{
+    f("caps", json::Custom{self.store, saveCaps, restoreCaps});
+    f("liveByBase", json::Custom{self.liveByBase, saveIndex, restoreIndex});
+    f("freedByBase",
+      json::Custom{self.freedByBase, saveIndex, restoreIndex});
+    f("initBits", json::Custom{self.initBits, saveInit, restoreInit});
+    f("nextPid", self.nextPid);
+    f("liveCount", self.liveCount);
+}
+
+CHEX_JSON_FIELDS(CapabilityTable);
+
+json::Value
+CapabilityTable::saveInit(const InitShadows &shadows)
+{
+    std::vector<Pid> pids;
+    pids.reserve(shadows.size());
+    for (const auto &[pid, sh] : shadows)
+        pids.push_back(pid);
+    std::sort(pids.begin(), pids.end());
+    json::Value out = json::Value::array();
+    for (Pid pid : pids) {
+        const InitShadow &sh = shadows.at(pid);
+        // Materialize the word bitmap the old representation held,
+        // so the snapshot document stays byte-identical.
+        InitRecord rec{pid, std::vector<uint64_t>(sh.words, 0)};
+        for (const auto &[lo, hi] : sh.set.items()) {
+            uint64_t end = std::min<uint64_t>(hi, sh.words * 64);
+            for (uint64_t w = lo; w < end; ++w)
+                rec.words[w / 64] |= 1ull << (w % 64);
         }
-        return true;
-    };
-    if (!restore_index(*jlive, liveByBase) ||
-        !restore_index(*jfreed, freedByBase)) {
-        return false;
+        out.push(json::write(rec));
     }
-    for (const json::Value &je : jinit->items()) {
-        if (!je.isObject())
+    return out;
+}
+
+bool
+CapabilityTable::restoreInit(InitShadows &shadows, const json::Value &v,
+                             json::Error &err)
+{
+    shadows.clear();
+    return json::readEach(v, err, [&](const json::Value &item) {
+        InitRecord rec;
+        if (!json::Codec<InitRecord>::read(item, rec, err))
             return false;
-        const json::Value *jwords = je.find("words");
-        if (!jwords || !jwords->isArray())
-            return false;
-        InitShadow sh;
-        sh.words = jwords->size();
+        auto [at, fresh] = shadows.try_emplace(rec.pid);
+        if (!fresh)
+            return err.fail("repeats a PID");
         // Recover merged intervals from the serialized bitmap.
+        InitShadow &sh = at->second;
+        sh.words = rec.words.size();
         uint64_t run_start = 0;
         bool in_run = false;
-        for (uint64_t wi = 0; wi < sh.words; ++wi) {
-            uint64_t word = jwords->at(wi).asUint64();
-            for (uint64_t b = 0; b < 64; ++b) {
-                bool set = word & (1ull << b);
-                uint64_t idx = wi * 64 + b;
-                if (set && !in_run) {
-                    run_start = idx;
-                    in_run = true;
-                } else if (!set && in_run) {
-                    sh.set.add(run_start, idx);
-                    in_run = false;
-                }
+        for (uint64_t idx = 0; idx < sh.words * 64; ++idx) {
+            bool set = rec.words[idx / 64] & (1ull << (idx % 64));
+            if (set && !in_run) {
+                run_start = idx;
+                in_run = true;
+            } else if (!set && in_run) {
+                sh.set.add(run_start, idx);
+                in_run = false;
             }
         }
         if (in_run)
             sh.set.add(run_start, sh.words * 64);
-        initBits[static_cast<Pid>(json::getUint(je, "pid", 0))] =
-            std::move(sh);
-    }
-    nextPid = static_cast<Pid>(json::getUint(v, "nextPid", 1));
-    liveCount = json::getUint(v, "liveCount", 0);
-    return true;
+        return true;
+    });
 }
 
 } // namespace chex

@@ -72,8 +72,8 @@ class BranchPredictor
      * the allocation policy's short-circuit); the RAS fully (it is
      * circular, every cell is reachable). Restore rejects a
      * geometry mismatch. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
   private:

@@ -139,8 +139,8 @@ class Core
      * resource calendars and occupancy windows, dataflow readiness,
      * store-forwarding map, per-macro bookkeeping, commit frontiers,
      * and counters. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
   private:

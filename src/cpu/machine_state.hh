@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "base/json.hh"
 #include "isa/uops.hh"
 #include "mem/sparse_memory.hh"
 
@@ -64,27 +63,14 @@ class MachineState
 
     SparseMemory &memory() { return mem; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * Registers only; memory is serialized by its owner. */
-    json::Value
-    saveState() const
+    /** The snapshot (chex-snapshot-v1) form: the register file
+     * alone; memory travels with its owner. */
+    template <class Self>
+    static auto &
+    snapshotRegs(Self &self)
     {
-        json::Value out = json::Value::array();
-        for (uint64_t r : regs)
-            out.push(r);
-        return out;
+        return self.regs;
     }
-
-    bool
-    restoreState(const json::Value &v)
-    {
-        if (!v.isArray() || v.size() != NumArchRegs)
-            return false;
-        for (size_t r = 0; r < NumArchRegs; ++r)
-            regs[r] = v.at(r).asUint64();
-        return true;
-    }
-    /** @} */
 
   private:
     uint64_t regs[NumArchRegs];

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/base64.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 
@@ -69,29 +68,19 @@ class ResourceCalendar
     }
 
     /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value
-    saveState() const
+    template <class Self, class F>
+    static void
+    fields(Self &self, F &f)
     {
-        return json::Value::object()
-            .set("base", base)
-            .set("used", base64Encode(used.data(), used.size()));
+        f("base", self.base);
+        f("used", json::Base64{self.used});
     }
-
+    json::Value saveState() const { return json::write(*this); }
+    /** Leaves the calendar unchanged when @p v is refused. */
     bool
-    restoreState(const json::Value &v)
+    restoreState(const json::Value &v, std::string *err = nullptr)
     {
-        if (!v.isObject())
-            return false;
-        const json::Value *jb = v.find("base");
-        const json::Value *ju = v.find("used");
-        std::vector<uint8_t> bytes;
-        if (!jb || !jb->isNumber() || !ju || !ju->isString() ||
-            !base64Decode(ju->str(), bytes) || bytes.size() != used.size()) {
-            return false;
-        }
-        used = std::move(bytes);
-        base = jb->asUint64();
-        return true;
+        return json::readOrKeep(v, *this, err);
     }
     /** @} */
 
@@ -169,39 +158,24 @@ class OccupancyWindow
         headIdx = 0;
     }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value
-    saveState() const
+    /** @{ @name Snapshot serialization (chex-snapshot-v1)
+     * The monotone allocation count and every release cycle; the
+     * wrapped index is rebuilt from the count. */
+    template <class Self, class F>
+    static void
+    fields(Self &self, F &f)
     {
-        json::Value jr = json::Value::array();
-        for (uint64_t c : releaseCycles)
-            jr.push(c);
-        return json::Value::object()
-            .set("head", head)
-            .set("release", std::move(jr));
+        f("head", self.head);
+        f("release", json::Sized{self.releaseCycles});
+        if constexpr (F::reading)
+            self.headIdx = static_cast<unsigned>(self.head % self.cap);
     }
-
+    json::Value saveState() const { return json::write(*this); }
+    /** Leaves the window unchanged when @p v is refused. */
     bool
-    restoreState(const json::Value &v)
+    restoreState(const json::Value &v, std::string *err = nullptr)
     {
-        if (!v.isObject())
-            return false;
-        const json::Value *jh = v.find("head");
-        const json::Value *jr = v.find("release");
-        if (!jh || !jh->isNumber() || !jr || !jr->isArray() ||
-            jr->size() != releaseCycles.size()) {
-            return false;
-        }
-        for (const json::Value &c : jr->items())
-            if (!c.isNumber())
-                return false;
-        for (size_t i = 0; i < releaseCycles.size(); ++i)
-            releaseCycles[i] = jr->at(i).asUint64();
-        head = jh->asUint64();
-        // Snapshots store the monotone allocation count; rebuild the
-        // wrapped index so old snapshots restore correctly.
-        headIdx = static_cast<unsigned>(head % cap);
-        return true;
+        return json::readOrKeep(v, *this, err);
     }
     /** @} */
 

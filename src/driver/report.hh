@@ -1,14 +1,15 @@
 /**
  * @file
- * Campaign-report serialization: RunResult, JobResult, and
- * CampaignReport → JSON (schema "chex-campaign-report-v6", described
- * in DESIGN.md §8) and back. The RunResult serializer is also what
- * single runs use to emit structured stats next to
- * System::dumpStatsJson, and the fromJson direction is how
- * fork-isolated workers stream results to the campaign parent and
- * how cache sources and report consumers (the merge subcommand,
- * diff tools) load v6 files. Reports are regenerated, never stored
- * across versions, so no other tag parses.
+ * Campaign-report serialization: CampaignReport → JSON (schema
+ * "chex-campaign-report-v6", described in DESIGN.md §8) and back.
+ * Each record (violation, RunResult, job row, summary) declares its
+ * members once as a json.hh field list that drives both directions.
+ * The RunResult list is also what single runs use to emit
+ * structured stats and what fork-isolated workers stream to the
+ * campaign parent; the fromJson direction is how cache sources and
+ * report consumers (the merge subcommand, diff tools) load v6
+ * files. Reports are regenerated, never stored across versions, so
+ * no other tag parses.
  */
 
 #ifndef CHEX_DRIVER_REPORT_HH
@@ -24,13 +25,17 @@ namespace chex
 namespace driver
 {
 
+/**
+ * The field list of a RunResult (json.hh record binder): the
+ * `result` object of report rows and of worker payloads.
+ */
+template <class R, class F>
+void runFields(R &r, F &f);
+
 /** Every RunResult field as a flat JSON object. */
 json::Value toJson(const RunResult &r);
 
-/** One violation record as {kind, pc, addr, pid}. */
-json::Value toJson(const ViolationRecord &v);
-
-/** One job outcome; includes the RunResult unless the job failed. */
+/** One job row; includes the RunResult unless the job failed. */
 json::Value toJson(const JobResult &jr);
 
 /** The whole campaign: schema tag, summary block, per-job array. */
@@ -42,21 +47,15 @@ void writeReport(const CampaignReport &report, std::ostream &os);
 /**
  * @{ @name JSON → struct (the parse direction)
  *
- * Rebuild the structs from parsed report documents. The schema tag
- * must be chex-campaign-report-v6, and the members v6 always writes
- * are required: the `shard` block, each job's `specHash`, `cached`,
- * `fromSnapshot` and `status` ("ok", "failed" or "skipped"), and a
- * failed job's `cause`, `exitCode` and `signal`. Unknown members are
- * ignored. Returns false and fills @p err (if non-null) when @p v is
- * structurally wrong: not an object, a bad schema tag, a required
- * member missing or mistyped (@p err names it), jobs not an array.
+ * Rebuild a report from a parsed document. The schema tag must be
+ * chex-campaign-report-v6 and every member the writer emits is
+ * required with its kind and range; a row's `attack` is read when
+ * present, and its `status` ("ok", "failed" or "skipped") decides
+ * whether `result` or `error`/`cause`/`exitCode`/`signal` follow.
+ * Unknown members are ignored. Returns false and fills @p err (if
+ * non-null) naming the first member that is missing, mistyped or
+ * out of range, with its path.
  */
-bool fromJson(const json::Value &v, RunResult &out,
-              std::string *err = nullptr);
-bool fromJson(const json::Value &v, ViolationRecord &out,
-              std::string *err = nullptr);
-bool fromJson(const json::Value &v, JobResult &out,
-              std::string *err = nullptr);
 bool fromJson(const json::Value &v, CampaignReport &out,
               std::string *err = nullptr);
 /** @} */

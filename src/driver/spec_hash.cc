@@ -1,7 +1,6 @@
 #include "spec_hash.hh"
 
 #include "base/fnv.hh"
-#include "base/logging.hh"
 #include "sim/config_hash.hh"
 
 namespace chex
@@ -61,31 +60,14 @@ foldSnapshotHash(uint64_t spec_hash, uint64_t state_hash)
 std::string
 specHashHex(uint64_t hash)
 {
-    return csprintf("%016llx",
-                    static_cast<unsigned long long>(hash));
+    return hashHex(hash);
 }
 
 uint64_t
 specHashFromHex(const std::string &hex)
 {
-    // specHashHex always writes exactly 16 digits; anything else is
-    // a corrupt report member, not a shorter encoding.
-    if (hex.size() != 16)
-        return 0;
-    uint64_t v = 0;
-    for (char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else if (c >= 'A' && c <= 'F')
-            digit = c - 'A' + 10;
-        else
-            return 0;
-        v = (v << 4) | static_cast<uint64_t>(digit);
-    }
-    return v;
+    uint64_t hash = 0;
+    return parseHashHex(hex, &hash) ? hash : 0;
 }
 
 } // namespace driver

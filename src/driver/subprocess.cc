@@ -40,6 +40,17 @@ secondsSince(Clock::time_point start)
  */
 std::mutex fork_mtx;
 
+/** The child's one document: its RunResult, or why it threw. */
+constexpr auto payloadFields = [](auto &p, auto &f) {
+    f("ok", p.ok);
+    if (p.ok) {
+        f("result",
+          json::Group{p.run, [](auto &r, auto &g) { runFields(r, g); }});
+    } else {
+        f("error", p.error);
+    }
+};
+
 /**
  * Child side: evaluate the body and report the outcome over @p fd
  * as one JSON document, then _exit (no atexit handlers — the child
@@ -48,15 +59,16 @@ std::mutex fork_mtx;
 [[noreturn]] void
 childMain(int fd, const std::function<RunResult()> &body)
 {
-    json::Value doc = json::Value::object();
+    AttemptOutcome out;
     try {
-        RunResult r = body();
-        doc.set("ok", true).set("result", toJson(r));
+        out.run = body();
+        out.ok = true;
     } catch (const std::exception &e) {
-        doc.set("ok", false).set("error", std::string(e.what()));
+        out.error = e.what();
     } catch (...) {
-        doc.set("ok", false).set("error", "unknown exception");
+        out.error = "unknown exception";
     }
+    json::Value doc = json::write(json::Group{out, payloadFields});
     std::string payload = doc.dump();
     size_t off = 0;
     while (off < payload.size()) {
@@ -203,29 +215,17 @@ runIsolatedAttempt(const std::function<RunResult()> &body,
     // Exit 0: the payload carries either the RunResult or the
     // exception message.
     json::Value doc;
-    std::string perr;
-    if (!json::Value::parse(payload, doc, &perr) || !doc.isObject()) {
-        out.cause = FailureCause::Exception;
-        out.error = csprintf("child result unreadable (%s)",
-                             payload.empty() ? "empty payload"
-                                             : perr.c_str());
+    std::string why;
+    if (json::Value::parse(payload, doc, &why) &&
+        json::read(doc, json::Group{out, payloadFields}, &why)) {
+        if (!out.ok)
+            out.cause = FailureCause::Exception;
         return out;
     }
-    if (json::getBool(doc, "ok", false)) {
-        const json::Value *res = doc.find("result");
-        std::string ferr;
-        if (res && fromJson(*res, out.run, &ferr)) {
-            out.ok = true;
-            return out;
-        }
-        out.cause = FailureCause::Exception;
-        out.error = csprintf("child result unreadable (%s)",
-                             ferr.empty() ? "missing 'result'"
-                                          : ferr.c_str());
-        return out;
-    }
+    out.ok = false;
     out.cause = FailureCause::Exception;
-    out.error = json::getString(doc, "error", "unknown exception");
+    out.error = csprintf("child result unreadable (%s)",
+                         payload.empty() ? "empty payload" : why.c_str());
     return out;
 }
 

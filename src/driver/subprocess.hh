@@ -4,8 +4,8 @@
  *
  * The worker fork()s a child that evaluates the job body and streams
  * the RunResult back to the parent over a pipe as a single JSON
- * document (the same serializers the campaign report uses, plus the
- * fromJson direction to rebuild the struct). The parent supervises
+ * document (the report's RunResult field list, read back with the
+ * same list). The parent supervises
  * the child with a per-attempt wall-clock watchdog and classifies
  * every way the attempt can end:
  *

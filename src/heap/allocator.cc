@@ -92,14 +92,14 @@ void
 HeapAllocator::drainQuarantine()
 {
     while (quarantineHeld > asan.quarantineBytes && !quarantine.empty()) {
-        QuarantineEntry e = quarantine.front();
+        auto [chunk, chunk_size] = quarantine.front();
         quarantine.pop_front();
-        quarantineHeld -= e.chunkSize;
-        unpoison(e.chunk, e.chunkSize);
+        quarantineHeld -= chunk_size;
+        unpoison(chunk, chunk_size);
         // Push onto the free list for real reuse.
-        unsigned bin = binIndex(e.chunkSize);
-        mem.write(e.chunk + HeaderBytes, bins[bin], 8);
-        bins[bin] = e.chunk;
+        unsigned bin = binIndex(chunk_size);
+        mem.write(chunk + HeaderBytes, bins[bin], 8);
+        bins[bin] = chunk;
     }
 }
 
@@ -302,85 +302,45 @@ HeapAllocator::isLiveUserPtr(uint64_t ptr) const
     return (size_field & FlagInUse) != 0;
 }
 
-json::Value
-HeapAllocator::saveState() const
+namespace
 {
-    json::Value jbins = json::Value::array();
-    for (uint64_t b : bins)
-        jbins.push(b);
-    json::Value jpoison = json::Value::array();
-    for (const auto &[start, end] : poisonRanges.items()) {
-        json::Value pair = json::Value::array();
-        pair.push(start);
-        pair.push(end);
-        jpoison.push(std::move(pair));
-    }
-    json::Value jquar = json::Value::array();
-    for (const QuarantineEntry &q : quarantine) {
-        json::Value pair = json::Value::array();
-        pair.push(q.chunk);
-        pair.push(q.chunkSize);
-        jquar.push(std::move(pair));
-    }
-    return json::Value::object()
-        .set("top", top)
-        .set("bins", std::move(jbins))
-        .set("poisonRanges", std::move(jpoison))
-        .set("quarantine", std::move(jquar))
-        .set("quarantineHeld", quarantineHeld)
-        .set("redzoneHeld", redzoneHeld)
-        .set("liveCount", liveCount)
-        .set("maxLiveCount", maxLiveCount)
-        .set("liveBytes", liveBytes)
-        .set("peakLiveBytes", peakLiveBytes)
-        .set("totalAllocs", statTotalAllocs.count())
-        .set("totalFrees", statTotalFrees.count())
-        .set("failedAllocs", statFailedAllocs.count())
-        .set("binReuse", statBinReuse.count())
-        .set("bumpAllocs", statBumpAllocs.count());
-}
 
 bool
-HeapAllocator::restoreState(const json::Value &v)
+restoreRanges(RangeSet &ranges, const json::Value &v, json::Error &err)
 {
-    if (!v.isObject())
-        return false;
-    const json::Value *jbins = v.find("bins");
-    const json::Value *jpoison = v.find("poisonRanges");
-    const json::Value *jquar = v.find("quarantine");
-    if (!jbins || !jbins->isArray() || jbins->size() != NumBins ||
-        !jpoison || !jpoison->isArray() || !jquar || !jquar->isArray()) {
-        return false;
-    }
-    for (size_t i = 0; i < NumBins; ++i)
-        bins[i] = jbins->at(i).asUint64();
-    poisonRanges.clear();
-    for (const json::Value &pair : jpoison->items()) {
-        if (!pair.isArray() || pair.size() != 2)
-            return false;
-        poisonRanges.add(pair.at(size_t(0)).asUint64(),
-                         pair.at(size_t(1)).asUint64());
-    }
-    quarantine.clear();
-    for (const json::Value &pair : jquar->items()) {
-        if (!pair.isArray() || pair.size() != 2)
-            return false;
-        quarantine.push_back({pair.at(size_t(0)).asUint64(),
-                              pair.at(size_t(1)).asUint64()});
-    }
-    top = json::getUint(v, "top", top);
-    quarantineHeld = json::getUint(v, "quarantineHeld", 0);
-    redzoneHeld = json::getUint(v, "redzoneHeld", 0);
-    liveCount = json::getUint(v, "liveCount", 0);
-    maxLiveCount = json::getUint(v, "maxLiveCount", 0);
-    liveBytes = json::getUint(v, "liveBytes", 0);
-    peakLiveBytes = json::getUint(v, "peakLiveBytes", 0);
-    statTotalAllocs = json::getUint(v, "totalAllocs", 0);
-    statTotalFrees = json::getUint(v, "totalFrees", 0);
-    statFailedAllocs = json::getUint(v, "failedAllocs", 0);
-    statBinReuse = json::getUint(v, "binReuse", 0);
-    statBumpAllocs = json::getUint(v, "bumpAllocs", 0);
-    return true;
+    ranges.clear();
+    return json::readPairs<uint64_t, uint64_t>(
+        v, err, [&](uint64_t start, uint64_t end) {
+            ranges.add(start, end);
+        });
 }
+
+} // namespace
+
+template <class Self, class F>
+void
+HeapAllocator::fields(Self &self, F &f)
+{
+    f("top", self.top);
+    f("bins", self.bins);
+    f("poisonRanges",
+      json::Custom{self.poisonRanges,
+                   [](const RangeSet &r) { return json::write(r.items()); },
+                   restoreRanges});
+    f("quarantine", self.quarantine);
+    f("quarantineHeld", self.quarantineHeld);
+    f("redzoneHeld", self.redzoneHeld);
+    f("liveCount", self.liveCount);
+    f("maxLiveCount", self.maxLiveCount);
+    f("liveBytes", self.liveBytes);
+    f("peakLiveBytes", self.peakLiveBytes);
+    f("totalAllocs", self.statTotalAllocs);
+    f("totalFrees", self.statTotalFrees);
+    f("failedAllocs", self.statFailedAllocs);
+    f("binReuse", self.statBinReuse);
+    f("bumpAllocs", self.statBumpAllocs);
+}
+
+CHEX_JSON_FIELDS(HeapAllocator);
 
 } // namespace chex

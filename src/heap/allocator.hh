@@ -113,8 +113,8 @@ class HeapAllocator
      * Arena state only (bins, wilderness pointer, ASan shadow
      * ranges, counters); chunk metadata lives in simulated memory
      * and travels with the SparseMemory pages. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
     static constexpr uint64_t HeaderBytes = 16;
@@ -154,12 +154,7 @@ class HeapAllocator
     // poisoning variant, where the node-per-range std::map paid a
     // heap allocation and a pointer chase per free.
     RangeSet poisonRanges;
-    struct QuarantineEntry
-    {
-        uint64_t chunk;
-        uint64_t chunkSize;
-    };
-    std::deque<QuarantineEntry> quarantine;
+    std::deque<std::pair<uint64_t, uint64_t>> quarantine; // chunk, size
     uint64_t quarantineHeld = 0;
     uint64_t redzoneHeld = 0;
 

@@ -201,108 +201,95 @@ saveNode(const std::array<uint64_t, 512> &slots, unsigned level,
     return out;
 }
 
-} // namespace
-
+/** The per-page alias counts as [page, count] pairs by page. */
 json::Value
-AliasTable::saveState() const
+savePages(const AliasPageCounts &counts)
 {
     std::vector<std::pair<uint64_t, uint32_t>> pages;
-    aliasPages.forEachNonzero([&](uint64_t page, uint32_t count) {
+    counts.forEachNonzero([&](uint64_t page, uint32_t count) {
         pages.emplace_back(page, count);
     });
     std::sort(pages.begin(), pages.end());
-    json::Value jpages = json::Value::array();
-    for (const auto &[page, count] : pages) {
-        json::Value pair = json::Value::array();
-        pair.push(page);
-        pair.push(count);
-        jpages.push(std::move(pair));
-    }
-    return json::Value::object()
-        .set("tree", saveNode(root->slots, 0, Levels))
-        .set("pages", std::move(jpages))
-        .set("liveEntries", _liveEntries);
+    return json::write(pages);
 }
 
 bool
-AliasTable::restoreNode(Node *node, const json::Value &v, unsigned level)
+restorePages(AliasPageCounts &counts, const json::Value &v,
+             json::Error &err)
 {
-    if (!v.isArray())
-        return false;
-    for (const json::Value &pair : v.items()) {
-        if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(size_t(0)).isNumber()) {
+    return json::readPairs<uint64_t, uint32_t>(
+        v, err, [&](uint64_t page, uint32_t count) {
+            counts.setCount(page, count);
+        });
+}
+
+} // namespace
+
+template <class Self, class F>
+void
+AliasTable::fields(Self &self, F &f)
+{
+    // The tree goes first: restoring it starts from clear(), which
+    // also empties the page counts and the entry count read next.
+    f("tree", json::Custom{
+                  self,
+                  [](const AliasTable &t) {
+                      return saveNode(t.root->slots, 0, Levels);
+                  },
+                  [](AliasTable &t, const json::Value &v,
+                     json::Error &err) {
+                      t.clear();
+                      return t.restoreNode(t.root, v, 0, err);
+                  }});
+    f("pages", json::Custom{self.aliasPages, savePages, restorePages});
+    f("liveEntries", self._liveEntries);
+}
+
+CHEX_JSON_FIELDS(AliasTable);
+
+bool
+AliasTable::restoreNode(Node *node, const json::Value &v, unsigned level,
+                        json::Error &err)
+{
+    return json::readEach(v, err, [&](const json::Value &pair) {
+        uint64_t idx = 0;
+        if (!json::readSize(pair, 2, err))
+            return false;
+        if (!json::Below<uint64_t>{idx, Fanout}.read(pair.items()[0], err)) {
+            err.within(size_t{0});
             return false;
         }
-        uint64_t idx = pair.at(size_t(0)).asUint64();
-        if (idx >= Fanout)
-            return false;
-        if (node->slots[idx]) {
-            // Duplicate slot index: overwriting would orphan the
-            // child already hanging here (the pre-reclamation code
-            // leaked it and died on the clear() leak assert later).
-            return false;
-        }
+        // Overwriting a repeated slot would orphan the child already
+        // hanging there.
+        if (node->slots[idx])
+            return err.fail("repeats a slot");
+        const json::Value &payload = pair.items()[1];
+        bool ok = false;
         if (level + 1 < Levels) {
             Node *child = allocNode();
             node->slots[idx] = reinterpret_cast<uint64_t>(child);
             ++node->liveSlots;
             // An empty subtree ([k, []]) breaks the reclamation
             // invariant that every interior node hosts an entry; the
-            // saver never emits one. The child stays linked, so the
-            // caller's clear() reclaims it.
-            if (!restoreNode(child, pair.at(size_t(1)), level + 1) ||
-                child->liveSlots == 0) {
-                return false;
-            }
+            // saver never emits one. The child stays linked, so
+            // clear() reclaims it.
+            ok = restoreNode(child, payload, level + 1, err) &&
+                 (child->liveSlots || err.fail("is an empty subtree"));
         } else {
-            if (!pair.at(size_t(1)).isNumber())
-                return false;
-            uint64_t payload = pair.at(size_t(1)).asUint64();
             // Leaf payloads are PIDs: nonzero (zero slots are never
-            // serialized) and 32-bit. A wider payload would be
-            // silently truncated by get().
-            if (payload == 0 || payload > 0xffffffffull)
-                return false;
-            node->slots[idx] = payload;
-            ++node->liveSlots;
+            // serialized) and 32-bit (get() would truncate wider).
+            uint64_t pid = 0;
+            ok = json::readUint(payload, UINT32_MAX, pid, err) &&
+                 (pid || err.fail("is not a PID"));
+            if (ok) {
+                node->slots[idx] = pid;
+                ++node->liveSlots;
+            }
         }
-    }
-    return true;
-}
-
-bool
-AliasTable::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *tree = v.find("tree");
-    const json::Value *pages = v.find("pages");
-    if (!tree || !pages || !pages->isArray())
-        return false;
-    clear();
-    if (!restoreNode(root, *tree, 0)) {
-        // Free the partially restored tree: every allocated node is
-        // still reachable (duplicate indices are rejected before
-        // overwriting), so clear() reclaims them all and the table
-        // stays usable.
-        clear();
-        return false;
-    }
-    for (const json::Value &pair : pages->items()) {
-        if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(size_t(0)).isNumber() ||
-            !pair.at(size_t(1)).isNumber()) {
-            clear();
-            return false;
-        }
-        aliasPages.setCount(
-            pair.at(size_t(0)).asUint64(),
-            static_cast<uint32_t>(pair.at(size_t(1)).asUint64()));
-    }
-    _liveEntries = json::getUint(v, "liveEntries", 0);
-    lastLookupWord = ~0ull;
-    return true;
+        if (!ok)
+            err.within(size_t{1});
+        return ok;
+    });
 }
 
 } // namespace chex

@@ -305,8 +305,14 @@ class AliasTable
      * malformed documents (duplicate slot indices, empty interior
      * subtrees, leaf payloads that don't fit a PID) without leaking
      * nodes, leaving the table empty. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
+    json::Value saveState() const { return json::write(*this); }
+    bool
+    restoreState(const json::Value &v, std::string *err = nullptr)
+    {
+        return json::read(v, *this, err) || (clear(), false);
+    }
     /** @} */
 
     static constexpr unsigned Levels = 5;
@@ -347,7 +353,8 @@ class AliasTable
     Node *allocNode();
     void releaseNode(Node *node);
     void freeSubtree(Node *node, unsigned level);
-    bool restoreNode(Node *node, const json::Value &v, unsigned level);
+    bool restoreNode(Node *node, const json::Value &v, unsigned level,
+                     json::Error &err);
 };
 
 } // namespace chex

@@ -82,8 +82,8 @@ class SetAssocCache
      * prefers the first invalid slot in way order, so which slots
      * are valid (not just which keys are resident) is timing state.
      * Restore rejects a geometry mismatch. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
   private:
@@ -150,8 +150,8 @@ class VictimAugmentedCache
     SetAssocCache &victim() { return _victim; }
 
     /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
   private:

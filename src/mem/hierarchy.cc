@@ -56,33 +56,18 @@ MemoryHierarchy::fetchAccess(uint64_t addr)
     return cfg.l1Latency + cfg.l2Latency + cfg.dramLatency;
 }
 
-json::Value
-MemoryHierarchy::saveState() const
+template <class Self, class F>
+void
+MemoryHierarchy::fields(Self &self, F &f)
 {
-    return json::Value::object()
-        .set("l1i", _l1i.saveState())
-        .set("l1d", _l1d.saveState())
-        .set("l2", _l2.saveState())
-        .set("bytesRead", meter.bytesRead)
-        .set("bytesWritten", meter.bytesWritten);
+    f("l1i", self._l1i);
+    f("l1d", self._l1d);
+    f("l2", self._l2);
+    f("bytesRead", self.meter.bytesRead);
+    f("bytesWritten", self.meter.bytesWritten);
 }
 
-bool
-MemoryHierarchy::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *i = v.find("l1i");
-    const json::Value *d = v.find("l1d");
-    const json::Value *l2 = v.find("l2");
-    if (!i || !d || !l2 || !_l1i.restoreState(*i) ||
-        !_l1d.restoreState(*d) || !_l2.restoreState(*l2)) {
-        return false;
-    }
-    meter.bytesRead = json::getUint(v, "bytesRead", 0);
-    meter.bytesWritten = json::getUint(v, "bytesWritten", 0);
-    return true;
-}
+CHEX_JSON_FIELDS(MemoryHierarchy);
 
 unsigned
 MemoryHierarchy::shadowAccess(uint64_t addr)

@@ -71,8 +71,8 @@ class MemoryHierarchy
     const HierarchyConfig &config() const { return cfg; }
 
     /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "base/base64.hh"
 #include "base/logging.hh"
 
 namespace chex
@@ -104,50 +103,60 @@ SparseMemory::writeBlock(uint64_t addr, const void *buf, uint64_t len)
     }
 }
 
-json::Value
-SparseMemory::saveState() const
+namespace json
+{
+
+namespace
+{
+
+/** One resident page: its number and its bytes. */
+template <class Num, class Page, class F>
+void
+pageFields(Num &num, Page &page, F &f)
+{
+    f("page", num);
+    f("data", Base64{page});
+}
+
+} // namespace
+
+Value
+Codec<SparseMemory>::write(const SparseMemory &mem)
 {
     std::vector<uint64_t> nums;
-    nums.reserve(pages.size());
-    for (const auto &[num, page] : pages)
+    nums.reserve(mem.pages.size());
+    for (const auto &[num, page] : mem.pages)
         nums.push_back(num);
     std::sort(nums.begin(), nums.end());
 
-    json::Value out = json::Value::array();
+    Value out = Value::array();
     for (uint64_t num : nums) {
-        const Page &page = *pages.at(num);
-        out.push(json::Value::object()
-                     .set("page", num)
-                     .set("data", base64Encode(page.data(), PageBytes)));
+        out.push(writeObject([&](Writer &w) {
+            pageFields(num, *mem.pages.at(num), w);
+        }));
     }
     return out;
 }
 
 bool
-SparseMemory::restoreState(const json::Value &v)
+Codec<SparseMemory>::read(const Value &v, SparseMemory &mem, Error &err)
 {
-    if (!v.isArray())
-        return false;
-    pages.clear();
-    lastPageNum = NoPage;
-    lastPage = nullptr;
-    std::vector<uint8_t> bytes;
-    for (const json::Value &e : v.items()) {
-        if (!e.isObject())
-            return false;
-        const json::Value *data = e.find("data");
-        if (!data || !data->isString() ||
-            !base64Decode(data->str(), bytes) ||
-            bytes.size() != PageBytes) {
-            return false;
-        }
-        uint64_t num = json::getUint(e, "page", 0);
-        auto &slot = pages[num];
-        slot = std::make_unique<Page>();
-        std::memcpy(slot->data(), bytes.data(), PageBytes);
-    }
-    return true;
+    mem.clear();
+    return readEach(v, err, [&](const Value &item) {
+        uint64_t num = 0;
+        auto page = std::make_unique<SparseMemory::Page>();
+        bool ok = readObject(item, err, [&](Reader &r) {
+            pageFields(num, *page, r);
+            r.check(!mem.pages.count(num), "repeats a page");
+        });
+        if (ok)
+            mem.pages.emplace(num, std::move(page));
+        return ok;
+    });
 }
+
+} // namespace json
+
 
 void
 SparseMemory::fill(uint64_t addr, uint8_t byte, uint64_t len)

@@ -58,14 +58,11 @@ class SparseMemory
         lastPage = nullptr;
     }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * Every resident page, sorted by page number for deterministic
-     * output, with contents as base64. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
-    /** @} */
-
   private:
+    /** Snapshots (chex-snapshot-v1, json::write/read) hold every
+     * resident page, sorted by page number, contents as base64. */
+    friend struct json::Codec<SparseMemory>;
+
     using Page = std::array<uint8_t, PageBytes>;
 
     Page *findPage(uint64_t addr) const;
@@ -79,12 +76,23 @@ class SparseMemory
     // turns the common-case hash lookup into a compare. Positive
     // entries only — Page objects are heap-allocated, so the pointer
     // stays valid across map rehashes; entries are only dropped by
-    // clear()/restoreState(), which reset the memo.
+    // clear() and snapshot restores, which reset the memo.
     static constexpr uint64_t NoPage = ~0ull;
     mutable uint64_t lastPageNum = NoPage;
     mutable Page *lastPage = nullptr;
 };
 
+namespace json
+{
+
+template <>
+struct Codec<SparseMemory>
+{
+    static Value write(const SparseMemory &mem);
+    static bool read(const Value &v, SparseMemory &mem, Error &err);
+};
+
+} // namespace json
 } // namespace chex
 
 #endif // CHEX_MEM_SPARSE_MEMORY_HH

@@ -1,9 +1,8 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
+#include "base/fnv.hh"
 #include "base/logging.hh"
 #include "isa/assembler.hh"
 #include "sim/config_hash.hh"
@@ -742,30 +741,99 @@ namespace
 
 constexpr const char *SnapshotFormatV1 = "chex-snapshot-v1";
 
-std::string
-hashHex(uint64_t h)
+json::Value
+savePidSet(const std::unordered_set<Pid> &pids)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    std::vector<Pid> sorted(pids.begin(), pids.end());
+    std::sort(sorted.begin(), sorted.end());
+    return json::write(sorted);
 }
 
 bool
-parseHashHex(const std::string &s, uint64_t *out)
+restorePidSet(std::unordered_set<Pid> &pids, const json::Value &v,
+              json::Error &err)
 {
-    if (s.size() != 16)
-        return false;
-    for (char c : s) {
-        bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex)
-            return false;
-    }
-    *out = std::strtoull(s.c_str(), nullptr, 16);
-    return true;
+    pids.clear();
+    return json::readEach(v, err, [&](const json::Value &x) {
+        Pid pid = NoPid;
+        return json::Codec<Pid>::read(x, pid, err) &&
+               (pids.insert(pid).second || err.fail("repeats a PID"));
+    });
+}
+
+/** A bit vector as the ascending indices of its set bits. */
+json::Value
+saveIndexSet(const std::vector<bool> &bits)
+{
+    json::Value out = json::Value::array();
+    for (size_t i = 0; i < bits.size(); ++i)
+        if (bits[i])
+            out.push(uint64_t{i});
+    return out;
+}
+
+bool
+restoreIndexSet(std::vector<bool> &bits, const json::Value &v,
+                json::Error &err)
+{
+    std::fill(bits.begin(), bits.end(), false);
+    return json::readEach(v, err, [&](const json::Value &item) {
+        uint64_t idx = 0;
+        bool ok = json::Below<uint64_t>{idx, bits.size()}.read(item, err);
+        if (ok)
+            bits[idx] = true;
+        return ok;
+    });
 }
 
 } // anonymous namespace
+
+template <class Self, class F>
+void
+System::fields(Self &self, F &f)
+{
+    f("seq", self.seq);
+    f("macroCount", self.macroCount);
+    f("pc", self.pc);
+    f("pending", json::Each{self.pending, [](auto &p, auto &g) {
+          g("kind", p.kind);
+          g("genPid", p.genPid);
+          g("freePid", p.freePid);
+      }});
+    f("intervalPids",
+      json::Custom{self.intervalPids, savePidSet, restorePidSet});
+    f("intervalMacros", self.intervalMacros);
+    f("intervalSamples", self.intervalSamples);
+    f("intervalPidSum", self.intervalPidSum);
+    f("btTranslated",
+      json::Custom{self.btTranslated, saveIndexSet, restoreIndexSet});
+    // Result fields the run loop mutates in flight; everything else
+    // in RunResult is derived by collectResult() at the end.
+    f("result", json::Group{self.result, [](auto &r, auto &g) {
+          g("violationDetected", r.violationDetected);
+          g("violations", json::Each{r.violations, [](auto &v, auto &h) {
+                h("kind", v.kind);
+                h("pc", v.pc);
+                h("addr", v.addr);
+                h("pid", v.pid);
+            }});
+          g("injectedUops", r.injectedUops);
+          g("capChecksInjected", r.capChecksInjected);
+          g("zeroIdiomChecks", r.zeroIdiomChecks);
+          g("pna0ZeroIdioms", r.pna0ZeroIdioms);
+          g("p0anFlushes", r.p0anFlushes);
+          g("pmanForwards", r.pmanForwards);
+      }});
+    f("ms", MachineState::snapshotRegs(self.ms));
+    f("mem", self.mem);
+    f("hier", self.hier);
+    f("core", *self.corePtr);
+    f("heap", self.heapAlloc);
+    f("capTable", self.capTable);
+    f("capCache", self.capCache);
+    f("aliases", self.aliases);
+    f("tracker", *self.trackerPtr);
+}
 
 json::Value
 System::saveSnapshot(std::string *err) const
@@ -782,73 +850,11 @@ System::saveSnapshot(std::string *err) const
     if (!pausedFlag)
         return fail("system is not paused mid-run");
 
-    json::Value m = json::Value::object();
-    m.set("seq", seq);
-    m.set("macroCount", macroCount);
-    m.set("pc", pc);
-
-    json::Value jpend = json::Value::array();
-    for (const auto &p : pending) {
-        jpend.push(
-            json::Value::object()
-                .set("kind", static_cast<uint64_t>(p.kind))
-                .set("genPid", static_cast<uint64_t>(p.genPid))
-                .set("freePid", static_cast<uint64_t>(p.freePid)));
-    }
-    m.set("pending", std::move(jpend));
-
-    std::vector<Pid> pids(intervalPids.begin(), intervalPids.end());
-    std::sort(pids.begin(), pids.end());
-    json::Value jpids = json::Value::array();
-    for (Pid p : pids)
-        jpids.push(static_cast<uint64_t>(p));
-    m.set("intervalPids", std::move(jpids));
-    m.set("intervalMacros", intervalMacros);
-    m.set("intervalSamples", intervalSamples);
-    m.set("intervalPidSum", intervalPidSum);
-
-    json::Value jbt = json::Value::array();
-    for (size_t i = 0; i < btTranslated.size(); ++i)
-        if (btTranslated[i])
-            jbt.push(static_cast<uint64_t>(i));
-    m.set("btTranslated", std::move(jbt));
-
-    // Result fields the run loop mutates in flight; everything else
-    // in RunResult is derived by collectResult() at the end.
-    json::Value jres = json::Value::object();
-    jres.set("violationDetected", result.violationDetected);
-    json::Value jviol = json::Value::array();
-    for (const auto &vr : result.violations) {
-        jviol.push(json::Value::object()
-                       .set("kind", static_cast<uint64_t>(vr.kind))
-                       .set("pc", vr.pc)
-                       .set("addr", vr.addr)
-                       .set("pid", static_cast<uint64_t>(vr.pid)));
-    }
-    jres.set("violations", std::move(jviol));
-    jres.set("injectedUops", result.injectedUops);
-    jres.set("capChecksInjected", result.capChecksInjected);
-    jres.set("zeroIdiomChecks", result.zeroIdiomChecks);
-    jres.set("pna0ZeroIdioms", result.pna0ZeroIdioms);
-    jres.set("p0anFlushes", result.p0anFlushes);
-    jres.set("pmanForwards", result.pmanForwards);
-    m.set("result", std::move(jres));
-
-    m.set("ms", ms.saveState());
-    m.set("mem", mem.saveState());
-    m.set("hier", hier.saveState());
-    m.set("core", corePtr->saveState());
-    m.set("heap", heapAlloc.saveState());
-    m.set("capTable", capTable.saveState());
-    m.set("capCache", capCache.saveState());
-    m.set("aliases", aliases.saveState());
-    m.set("tracker", trackerPtr->saveState());
-
     return json::Value::object()
         .set("format", SnapshotFormatV1)
         .set("configHash", hashHex(configHash(cfg)))
         .set("programHash", hashHex(programHash(prog)))
-        .set("machine", std::move(m));
+        .set("machine", json::write(*this));
 }
 
 bool
@@ -865,156 +871,34 @@ System::restoreSnapshot(const json::Value &v, std::string *err)
         return fail("no program loaded");
     if (!v.isObject())
         return fail("snapshot is not a JSON object");
-    if (json::getString(v, "format", "") != SnapshotFormatV1) {
+    std::string format, config_hash, program_hash;
+    uint64_t want = 0;
+    if (!json::require(v, "format", format) ||
+        format != SnapshotFormatV1) {
         return fail("unrecognized snapshot format (want " +
                     std::string(SnapshotFormatV1) + ")");
     }
-    uint64_t want = 0;
-    if (!parseHashHex(json::getString(v, "configHash", ""), &want) ||
-        want != configHash(cfg)) {
+    if (!json::require(v, "configHash", config_hash) ||
+        !parseHashHex(config_hash, &want) || want != configHash(cfg)) {
         return fail("configuration mismatch: snapshot was taken "
                     "under a different SystemConfig");
     }
-    if (!parseHashHex(json::getString(v, "programHash", ""), &want) ||
-        want != programHash(prog)) {
+    if (!json::require(v, "programHash", program_hash) ||
+        !parseHashHex(program_hash, &want) || want != programHash(prog)) {
         return fail("program mismatch: snapshot was taken of a "
                     "different program");
     }
     const json::Value *jm = v.find("machine");
-    if (!jm || !jm->isObject())
+    if (!jm)
         return fail("missing machine section");
-    const json::Value &m = *jm;
 
-    // A failed component restore leaves the system unspecified;
+    // Every member is required: a snapshot missing one (or holding a
+    // mistyped one) is refused by path, never restored with a
+    // default. A refused restore leaves the system unspecified;
     // callers recover by constructing a fresh System.
-    std::vector<std::string> bad;
-    auto restore = [&m, &bad](const char *name, auto &&fn) {
-        const json::Value *s = m.find(name);
-        if (!s || !fn(*s))
-            bad.push_back(name);
-    };
-    restore("ms", [this](const json::Value &s) {
-        return ms.restoreState(s);
-    });
-    restore("mem", [this](const json::Value &s) {
-        return mem.restoreState(s);
-    });
-    restore("hier", [this](const json::Value &s) {
-        return hier.restoreState(s);
-    });
-    restore("core", [this](const json::Value &s) {
-        return corePtr->restoreState(s);
-    });
-    restore("heap", [this](const json::Value &s) {
-        return heapAlloc.restoreState(s);
-    });
-    restore("capTable", [this](const json::Value &s) {
-        return capTable.restoreState(s);
-    });
-    restore("capCache", [this](const json::Value &s) {
-        return capCache.restoreState(s);
-    });
-    restore("aliases", [this](const json::Value &s) {
-        return aliases.restoreState(s);
-    });
-    restore("tracker", [this](const json::Value &s) {
-        return trackerPtr->restoreState(s);
-    });
-
-    // Orchestrator run state. Every member is required: a snapshot
-    // missing one (or holding a mistyped one) is refused by name,
-    // never restored with a default.
-    using Kind = json::Value::Kind;
-    auto need = [&bad](const json::Value &obj, const char *key,
-                       auto &out, const char *within = nullptr) {
-        if (!json::require(obj, key, out, nullptr))
-            bad.push_back(within ? std::string(within) + "." + key
-                                 : std::string(key));
-    };
-    // The items of array member @p key when each is of @p kind;
-    // otherwise nullptr, with @p key reported.
-    auto items = [&bad](const json::Value &obj, const char *key,
-                        Kind kind) -> const std::vector<json::Value> * {
-        const json::Value *a = json::member(obj, key, Kind::Array,
-                                            nullptr);
-        if (a && std::all_of(a->items().begin(), a->items().end(),
-                             [kind](const json::Value &e) {
-                                 return e.kind() == kind;
-                             }))
-            return &a->items();
-        bad.push_back(key);
-        return nullptr;
-    };
-    need(m, "seq", seq);
-    need(m, "macroCount", macroCount);
-    need(m, "pc", pc);
-    need(m, "intervalMacros", intervalMacros);
-    need(m, "intervalSamples", intervalSamples);
-    need(m, "intervalPidSum", intervalPidSum);
-
-    pending.clear();
-    if (auto *jp = items(m, "pending", Kind::Object)) {
-        for (const json::Value &e : *jp) {
-            PendingAlloc p;
-            unsigned kind = 0;
-            need(e, "kind", kind, "pending");
-            need(e, "genPid", p.genPid, "pending");
-            need(e, "freePid", p.freePid, "pending");
-            p.kind = static_cast<IntrinsicKind>(kind);
-            pending.push_back(p);
-        }
-    }
-
-    intervalPids.clear();
-    if (auto *jpids = items(m, "intervalPids", Kind::Number)) {
-        for (const json::Value &e : *jpids)
-            intervalPids.insert(static_cast<Pid>(e.asUint64()));
-    }
-
-    btTranslated.assign(prog.code.size(), false);
-    if (auto *jbt = items(m, "btTranslated", Kind::Number)) {
-        for (const json::Value &e : *jbt) {
-            uint64_t idx = e.asUint64();
-            if (idx < btTranslated.size())
-                btTranslated[idx] = true;
-            else
-                bad.push_back("btTranslated");
-        }
-    }
-
-    result = RunResult{};
-    if (const json::Value *jr =
-            json::member(m, "result", Kind::Object, nullptr)) {
-        need(*jr, "violationDetected", result.violationDetected);
-        if (auto *jv = items(*jr, "violations", Kind::Object)) {
-            for (const json::Value &e : *jv) {
-                ViolationRecord vr;
-                unsigned kind = 0;
-                need(e, "kind", kind, "violations");
-                need(e, "pc", vr.pc, "violations");
-                need(e, "addr", vr.addr, "violations");
-                need(e, "pid", vr.pid, "violations");
-                vr.kind = static_cast<Violation>(kind);
-                result.violations.push_back(vr);
-            }
-        }
-        need(*jr, "injectedUops", result.injectedUops);
-        need(*jr, "capChecksInjected", result.capChecksInjected);
-        need(*jr, "zeroIdiomChecks", result.zeroIdiomChecks);
-        need(*jr, "pna0ZeroIdioms", result.pna0ZeroIdioms);
-        need(*jr, "p0anFlushes", result.p0anFlushes);
-        need(*jr, "pmanForwards", result.pmanForwards);
-    } else {
-        bad.push_back("result");
-    }
-
-    if (!bad.empty()) {
-        std::string msg = "malformed snapshot section(s):";
-        for (const auto &b : bad)
-            msg += " " + b;
-        return fail(msg);
-    }
-
+    std::string why;
+    if (!json::read(*jm, *this, &why))
+        return fail("malformed snapshot machine: " + why);
     running = true;
     pausedFlag = true;
     return true;

@@ -194,6 +194,9 @@ class System
      */
     json::Value saveSnapshot(std::string *err) const;
     bool restoreSnapshot(const json::Value &v, std::string *err);
+    /** The `machine` section: run state, then every component. */
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
     /**

@@ -1,7 +1,5 @@
 #include "codec.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -18,29 +16,6 @@ jsonStateHash(const json::Value &v)
     TaggedHasher h;
     h.str("snapshot.state", v.dump(0));
     return h.digest();
-}
-
-std::string
-stateHashHex(uint64_t hash)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-bool
-stateHashFromHex(const std::string &hex, uint64_t *out)
-{
-    if (hex.size() != 16)
-        return false;
-    for (char c : hex) {
-        bool ok = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!ok)
-            return false;
-    }
-    *out = std::strtoull(hex.c_str(), nullptr, 16);
-    return true;
 }
 
 bool

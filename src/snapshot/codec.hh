@@ -28,10 +28,6 @@ namespace snapshot
  */
 uint64_t jsonStateHash(const json::Value &v);
 
-/** Digest as 16 lower-case hex digits (and back). */
-std::string stateHashHex(uint64_t hash);
-bool stateHashFromHex(const std::string &hex, uint64_t *out);
-
 /**
  * Read a whole file into @p out. Returns false and fills @p err
  * (if non-null) when the file cannot be opened or read.

@@ -1,5 +1,6 @@
 #include "snapshot.hh"
 
+#include "base/fnv.hh"
 #include "snapshot/codec.hh"
 #include "workload/generator.hh"
 
@@ -59,25 +60,50 @@ restoreEntry(const MachineEntry &entry, const BenchmarkProfile &profile,
     return sys->restoreSnapshot(entry.state, err);
 }
 
+namespace
+{
+
+constexpr const char *HexDigits = "16 lower-case hex digits";
+
+bool
+parseHash(const std::string &hex, uint64_t &hash)
+{
+    return parseHashHex(hex, &hash);
+}
+
+bool
+restoreMachine(json::Value &state, const json::Value &v, json::Error &err)
+{
+    if (!v.isObject())
+        return err.fail("is not an object");
+    state = v;
+    return true;
+}
+
+constexpr auto entryFields = [](auto &e, auto &f) {
+    f("profile", e.profileName);
+    f("variant", e.variant);
+    f("seed", e.seed);
+    f("specKey", json::Text{e.specKey, hashHex, parseHash, HexDigits});
+    f("warmupMacros", e.warmupMacros);
+    f("stateHash", json::Text{e.stateHash, hashHex, parseHash, HexDigits});
+    f("state", json::Custom{e.state, [](const json::Value &v) { return v; },
+                            restoreMachine});
+};
+
+constexpr auto bundleFields = [](auto &b, auto &f) {
+    f("format", json::Match{std::string(BundleFormatTag)});
+    f("campaignSeed", b.campaignSeed);
+    f("warmupMacros", b.warmupMacros);
+    f("entries", json::Each{b.entries, entryFields});
+};
+
+} // namespace
+
 json::Value
 toJson(const Bundle &bundle)
 {
-    json::Value jentries = json::Value::array();
-    for (const MachineEntry &e : bundle.entries) {
-        jentries.push(json::Value::object()
-                          .set("profile", e.profileName)
-                          .set("variant", e.variant)
-                          .set("seed", e.seed)
-                          .set("specKey", stateHashHex(e.specKey))
-                          .set("warmupMacros", e.warmupMacros)
-                          .set("stateHash", stateHashHex(e.stateHash))
-                          .set("state", e.state));
-    }
-    return json::Value::object()
-        .set("format", BundleFormatTag)
-        .set("campaignSeed", bundle.campaignSeed)
-        .set("warmupMacros", bundle.warmupMacros)
-        .set("entries", std::move(jentries));
+    return json::write(json::Group{bundle, bundleFields});
 }
 
 bool
@@ -90,53 +116,23 @@ fromJson(const json::Value &v, Bundle *out, std::string *err)
     };
     if (!v.isObject())
         return fail("snapshot bundle is not a JSON object");
-    std::string format, why;
-    if (!json::require(v, "format", format, &why))
-        return fail("snapshot bundle: " + why);
-    if (format != BundleFormatTag) {
-        return fail("unrecognized snapshot bundle format (want " +
-                    std::string(BundleFormatTag) + ")");
-    }
     Bundle b;
-    const json::Value *jentries =
-        json::member(v, "entries", json::Value::Kind::Array, &why);
-    if (!jentries ||
-        !json::require(v, "campaignSeed", b.campaignSeed, &why) ||
-        !json::require(v, "warmupMacros", b.warmupMacros, &why))
+    std::string why;
+    if (!json::read(v, json::Group{b, bundleFields}, &why))
         return fail("snapshot bundle: " + why);
-    for (size_t i = 0; i < jentries->size(); ++i) {
-        const json::Value &je = jentries->at(i);
-        std::string where = "snapshot bundle entry " + std::to_string(i);
-        if (!je.isObject())
-            return fail(where + " is not an object");
-        MachineEntry e;
-        std::string spec_key, state_hash;
-        const json::Value *jstate = nullptr;
-        if (!json::require(je, "profile", e.profileName, &why) ||
-            !json::require(je, "variant", e.variant, &why) ||
-            !json::require(je, "seed", e.seed, &why) ||
-            !json::require(je, "warmupMacros", e.warmupMacros, &why) ||
-            !json::require(je, "specKey", spec_key, &why) ||
-            !json::require(je, "stateHash", state_hash, &why) ||
-            !(jstate = json::member(je, "state", json::Value::Kind::Object,
-                                    &why)))
-            return fail(where + ": " + why);
-        where += " '" + e.profileName + "/" + e.variant + "'";
-        if (!stateHashFromHex(spec_key, &e.specKey) ||
-            !stateHashFromHex(state_hash, &e.stateHash))
-            return fail(where + " has a malformed key hash");
-        e.state = *jstate;
-        // Verify the recorded state digest against the bytes we just
+    for (size_t i = 0; i < b.entries.size(); ++i) {
+        const MachineEntry &e = b.entries[i];
+        // Verify the recorded state digest against the bytes just
         // parsed: bundles are large files that get copied between
         // machines, and a silently truncated or edited state must
         // not restore into a subtly different simulation.
         uint64_t got = jsonStateHash(e.state);
         if (got != e.stateHash) {
-            return fail(where + " is corrupt: state hash " +
-                        stateHashHex(got) + " != recorded " +
-                        stateHashHex(e.stateHash));
+            return fail("snapshot bundle entry " + std::to_string(i) +
+                        " '" + e.profileName + "/" + e.variant +
+                        "' is corrupt: state hash " + hashHex(got) +
+                        " != recorded " + hashHex(e.stateHash));
         }
-        b.entries.push_back(std::move(e));
     }
     *out = std::move(b);
     return true;

@@ -165,99 +165,52 @@ AliasPredictor::clear()
         o = 0;
 }
 
-json::Value
-AliasPredictor::saveState() const
+namespace
 {
-    json::Value jtable = json::Value::array();
-    for (size_t i = 0; i < table.size(); ++i) {
-        const Entry &e = table[i];
-        if (!e.valid)
-            continue;
-        jtable.push(json::Value::object()
-                        .set("slot", static_cast<uint64_t>(i))
-                        .set("tag", e.tag)
-                        .set("lastPid", e.lastPid)
-                        .set("stride", static_cast<uint64_t>(e.stride))
-                        .set("confidence", e.confidence));
-    }
-    json::Value jbl = json::Value::array();
-    for (size_t i = 0; i < blacklist.size(); ++i) {
-        const BlacklistEntry &e = blacklist[i];
-        if (!e.valid)
-            continue;
-        jbl.push(json::Value::object()
-                     .set("slot", static_cast<uint64_t>(i))
-                     .set("tag", e.tag)
-                     .set("confidence", e.confidence));
-    }
-    json::Value jout = json::Value::array();
-    for (uint64_t o : outcomes)
-        jout.push(o);
-    return json::Value::object()
-        .set("entries", cfg.entries)
-        .set("blacklistEntries", cfg.blacklistEntries)
-        .set("table", std::move(jtable))
-        .set("blacklist", std::move(jbl))
-        .set("numPredictions", numPredictions)
-        .set("numCorrect", numCorrect)
-        .set("outcomes", std::move(jout));
+
+/** A stride as its two's-complement bit pattern. */
+json::Value
+saveStride(int64_t stride)
+{
+    return static_cast<uint64_t>(stride);
 }
 
 bool
-AliasPredictor::restoreState(const json::Value &v)
+restoreStride(int64_t &stride, const json::Value &v, json::Error &err)
 {
-    if (!v.isObject())
-        return false;
-    if (json::getUint(v, "entries", 0) != cfg.entries ||
-        json::getUint(v, "blacklistEntries", 0) != cfg.blacklistEntries) {
-        return false;
-    }
-    const json::Value *jtable = v.find("table");
-    const json::Value *jbl = v.find("blacklist");
-    const json::Value *jout = v.find("outcomes");
-    if (!jtable || !jtable->isArray() || !jbl || !jbl->isArray() ||
-        !jout || !jout->isArray() || jout->size() != 5) {
-        return false;
-    }
-    clear();
-    for (const json::Value &je : jtable->items()) {
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        uint64_t confidence = json::getUint(je, "confidence", 0);
-        // A confidence past the saturating maximum or a slot already
-        // restored cannot have come from saveState(); accepting
-        // either would bake impossible predictor state (counters the
-        // training logic can never reach, last-writer-wins entries)
-        // into the restored machine.
-        if (slot >= table.size() || confidence > cfg.confidenceMax ||
-            table[slot].valid) {
-            clear();
-            return false;
-        }
-        Entry &e = table[slot];
-        e.tag = json::getUint(je, "tag", 0);
-        e.lastPid = static_cast<Pid>(json::getUint(je, "lastPid", 0));
-        e.stride = static_cast<int64_t>(json::getUint(je, "stride", 0));
-        e.confidence = static_cast<uint8_t>(confidence);
-        e.valid = true;
-    }
-    for (const json::Value &je : jbl->items()) {
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        uint64_t confidence = json::getUint(je, "confidence", 0);
-        if (slot >= blacklist.size() ||
-            confidence > cfg.confidenceMax || blacklist[slot].valid) {
-            clear();
-            return false;
-        }
-        BlacklistEntry &e = blacklist[slot];
-        e.tag = json::getUint(je, "tag", 0);
-        e.confidence = static_cast<uint8_t>(confidence);
-        e.valid = true;
-    }
-    numPredictions = json::getUint(v, "numPredictions", 0);
-    numCorrect = json::getUint(v, "numCorrect", 0);
-    for (size_t i = 0; i < 5; ++i)
-        outcomes[i] = jout->at(i).asUint64();
-    return true;
+    uint64_t bits = 0;
+    bool ok = json::readUint(v, UINT64_MAX, bits, err);
+    stride = static_cast<int64_t>(bits);
+    return ok;
 }
+
+} // namespace
+
+template <class Self, class F>
+void
+AliasPredictor::fields(Self &self, F &f)
+{
+    // A confidence past the saturating maximum or a repeated slot
+    // cannot have come from a save; accepting either would bake
+    // state the training logic can never reach into the machine.
+    uint64_t over = uint64_t{self.cfg.confidenceMax} + 1;
+    f("entries", json::Match{self.cfg.entries});
+    f("blacklistEntries", json::Match{self.cfg.blacklistEntries});
+    f("table", json::Slots{self.table, [over](auto &e, auto &g) {
+          g("tag", e.tag);
+          g("lastPid", e.lastPid);
+          g("stride", json::Custom{e.stride, saveStride, restoreStride});
+          g("confidence", json::Below{e.confidence, over});
+      }});
+    f("blacklist", json::Slots{self.blacklist, [over](auto &e, auto &g) {
+          g("tag", e.tag);
+          g("confidence", json::Below{e.confidence, over});
+      }});
+    f("numPredictions", self.numPredictions);
+    f("numCorrect", self.numCorrect);
+    f("outcomes", self.outcomes);
+}
+
+CHEX_JSON_FIELDS(AliasPredictor);
 
 } // namespace chex

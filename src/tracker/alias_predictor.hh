@@ -98,9 +98,16 @@ class AliasPredictor
     /** @{ @name Snapshot serialization (chex-snapshot-v1)
      * Valid entries only, indexed; strides are emitted as their
      * two's-complement bit pattern so negative strides round-trip
-     * exactly. Restore rejects a geometry mismatch. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+     * exactly. Restore rejects a geometry mismatch; a refused
+     * document leaves the predictor cleared. */
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
+    json::Value saveState() const { return json::write(*this); }
+    bool
+    restoreState(const json::Value &v, std::string *err = nullptr)
+    {
+        return json::read(v, *this, err) || (clear(), false);
+    }
     /** @} */
 
   private:

@@ -125,8 +125,8 @@ class SpeculativePointerTracker
      * The rule database is config-derived (rebuilt by the System
      * constructor) and the shadow alias table is owned by the
      * System, which serializes it separately. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <class Self, class F>
+    static void fields(Self &self, F &f);
     /** @} */
 
   private:

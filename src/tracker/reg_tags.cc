@@ -1,7 +1,6 @@
 #include "reg_tags.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "base/logging.hh"
 
@@ -16,18 +15,20 @@ namespace
 // variants that never write a tag never allocate it.
 constexpr size_t InitialLogSize = 128;
 
-/** Parse @p j as a 32-bit PID; false when absent, mistyped or wider. */
-bool
-readPid(const json::Value *j, Pid *out)
+/** One register's tags in a snapshot. */
+struct RegRecord
 {
-    if (!j || !j->isNumber())
-        return false;
-    uint64_t v = j->asUint64();
-    if (v > std::numeric_limits<Pid>::max())
-        return false;
-    *out = static_cast<Pid>(v);
-    return true;
-}
+    Pid finalized = NoPid;
+    std::vector<std::pair<uint64_t, Pid>> transients; // [seq, pid]
+
+    template <class Self, class F>
+    static void
+    fields(Self &self, F &f)
+    {
+        f("finalized", self.finalized);
+        f("transients", self.transients);
+    }
+};
 
 } // namespace
 
@@ -114,69 +115,71 @@ RegTagFile::clear()
     count = 0;
 }
 
-json::Value
-RegTagFile::saveState() const
+namespace json
 {
-    std::vector<json::Value> transients(NumArchRegs, json::Value::array());
-    for (size_t i = 0; i < count; ++i) {
-        const LogEntry &e = at(i);
-        json::Value pair = json::Value::array();
-        pair.push(e.seq);
-        pair.push(e.pid);
-        transients[e.reg].push(std::move(pair));
+
+Value
+Codec<RegTagFile>::write(const RegTagFile &tags)
+{
+    RegRecord regs[NumArchRegs];
+    for (size_t r = 0; r < NumArchRegs; ++r)
+        regs[r].finalized = tags.fin[r];
+    for (size_t i = 0; i < tags.count; ++i) {
+        const RegTagFile::LogEntry &e = tags.at(i);
+        regs[e.reg].transients.emplace_back(e.seq, e.pid);
     }
-    json::Value out = json::Value::array();
-    for (size_t r = 0; r < NumArchRegs; ++r) {
-        json::Value jt = json::Value::object();
-        jt.set("finalized", fin[r]);
-        jt.set("transients", std::move(transients[r]));
-        out.push(std::move(jt));
-    }
-    return out;
+    return json::write(regs);
 }
 
 bool
-RegTagFile::restoreState(const json::Value &v)
+Codec<RegTagFile>::read(const Value &v, RegTagFile &tags, Error &err)
 {
-    if (!v.isArray() || v.size() != NumArchRegs)
+    RegRecord regs[NumArchRegs];
+    if (!json::Codec<RegRecord[NumArchRegs]>::read(v, regs, err))
         return false;
-    Pid finalized[NumArchRegs];
-    std::vector<LogEntry> entries;
+    std::vector<RegTagFile::LogEntry> entries;
     for (size_t r = 0; r < NumArchRegs; ++r) {
-        const json::Value &jt = v.at(r);
-        if (!jt.isObject() || !readPid(jt.find("finalized"), &finalized[r]))
-            return false;
-        const json::Value *jtr = jt.find("transients");
-        if (!jtr || !jtr->isArray())
-            return false;
-        for (size_t i = 0; i < jtr->size(); ++i) {
-            const json::Value &pair = jtr->at(i);
-            if (!pair.isArray() || pair.size() != 2 ||
-                !pair.at(size_t(0)).isNumber()) {
+        const auto &tr = regs[r].transients;
+        for (size_t i = 0; i < tr.size(); ++i) {
+            if (i > 0 && tr[i].first <= tr[i - 1].first) {
+                err.fail("is not above the previous seq");
+                err.within(size_t{0});
+                err.within(i);
+                err.within("transients");
+                err.within(r);
                 return false;
             }
-            LogEntry e{pair.at(size_t(0)).asUint64(), NoPid, NoPid,
-                       static_cast<RegId>(r)};
-            if (!readPid(&pair.at(size_t(1)), &e.pid) ||
-                (i > 0 && e.seq <= entries.back().seq)) {
-                return false;
-            }
-            entries.push_back(e);
+            entries.push_back(
+                {tr[i].first, tr[i].second, NoPid, static_cast<RegId>(r)});
         }
     }
 
     // Merge the per-register lists into one seq-ordered log; replaying
     // them through write() rebuilds cur[] and each entry's prev.
     std::stable_sort(entries.begin(), entries.end(),
-                     [](const LogEntry &a, const LogEntry &b) {
+                     [](const auto &a, const auto &b) {
                          return a.seq < b.seq;
                      });
-    clear();
-    std::copy(std::begin(finalized), std::end(finalized), fin);
-    std::copy(std::begin(finalized), std::end(finalized), cur);
-    for (const LogEntry &e : entries)
-        write(e.reg, e.pid, e.seq);
+    tags.clear();
+    for (size_t r = 0; r < NumArchRegs; ++r)
+        tags.fin[r] = tags.cur[r] = regs[r].finalized;
+    for (const RegTagFile::LogEntry &e : entries)
+        tags.write(e.reg, e.pid, e.seq);
     return true;
+}
+
+} // namespace json
+
+json::Value
+RegTagFile::saveState() const
+{
+    return json::write(*this);
+}
+
+bool
+RegTagFile::restoreState(const json::Value &v, std::string *err)
+{
+    return json::read(v, *this, err);
 }
 
 } // namespace chex

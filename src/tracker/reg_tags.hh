@@ -69,10 +69,12 @@ class RegTagFile
      * whose transients are not strictly ascending in seq.
      */
     json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    bool restoreState(const json::Value &v, std::string *err = nullptr);
     /** @} */
 
   private:
+    friend struct json::Codec<RegTagFile>;
+
     struct LogEntry
     {
         uint64_t seq;
@@ -96,6 +98,17 @@ class RegTagFile
     size_t count = 0;
 };
 
+namespace json
+{
+
+template <>
+struct Codec<RegTagFile>
+{
+    static Value write(const RegTagFile &tags);
+    static bool read(const Value &v, RegTagFile &tags, Error &err);
+};
+
+} // namespace json
 } // namespace chex
 
 #endif // CHEX_TRACKER_REG_TAGS_HH

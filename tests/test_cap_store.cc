@@ -538,8 +538,11 @@ TEST(CapStoreEquivalence, RestoresOldFormatFixture)
     // capability just created.
     t.endGeneration(3, 0); // failed alloc: caps entry, no index entry
     json::Value out = t.saveState();
-    EXPECT_EQ(json::getUint(out, "nextPid", 0), 4u);
-    EXPECT_EQ(json::getUint(out, "liveCount", 99), 1u);
+    uint64_t next_pid = 0, live = 0;
+    ASSERT_TRUE(json::require(out, "nextPid", next_pid));
+    ASSERT_TRUE(json::require(out, "liveCount", live));
+    EXPECT_EQ(next_pid, 4u);
+    EXPECT_EQ(live, 1u);
 }
 
 /** Satellite: clear-then-reuse must fully reset the PID allocator

@@ -23,7 +23,9 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
@@ -577,22 +579,35 @@ v6Fixture(const std::string &drop = "", const std::string &mistype = "")
     doc.set("workers", 1);
     put(doc, "shard",
         json::Value::object().set("index", 0).set("count", 1));
+    // Every member the writer emits is required: the summary block
+    // and the ok row's result come from the writer itself.
+    doc.set("summary",
+            driver::toJson(driver::CampaignReport()).at("summary"));
     json::Value jobs = json::Value::array();
     for (bool failed : {false, true}) {
         json::Value job = json::Value::object();
         job.set("index", failed ? 1 : 0);
         job.set("label", failed ? "lbm/baseline" : "mcf/baseline");
+        job.set("profile", failed ? "lbm" : "mcf");
+        job.set("variant", "baseline");
+        job.set("seed", uint64_t{5});
+        job.set("repetition", 0);
         put(job, "specHash", "00000000deadbeef");
         put(job, "cached", false);
         put(job, "fromSnapshot", false);
         put(job, "status", failed ? "failed" : "ok");
+        job.set("attempts", 1);
+        job.set("wallSeconds", 0.5);
+        job.set("attemptSeconds", json::Value::array().push(0.5));
         if (failed) {
             job.set("error", "exited with status 7");
             put(job, "cause", "nonzero-exit");
             put(job, "exitCode", 7);
             put(job, "signal", 0);
         } else {
-            job.set("result", json::Value::object().set("cycles", 200));
+            RunResult run;
+            run.cycles = 200;
+            job.set("result", driver::toJson(run));
         }
         jobs.push(std::move(job));
     }
@@ -649,6 +664,70 @@ TEST(Report, RejectsMissingV6Members)
     doc.set("jobs", std::move(bad_status));
     EXPECT_FALSE(driver::fromJson(doc, report, &err));
     EXPECT_NE(err.find("status"), std::string::npos) << err;
+}
+
+TEST(Report, RefusesAnyDroppedOrMistypedResultOrSummaryMember)
+{
+    std::vector<driver::JobSpec> jobs = eightJobs();
+    jobs.resize(1);
+    driver::CampaignOptions opts;
+    opts.workers = 1;
+    const json::Value doc =
+        driver::toJson(driver::runCampaign(jobs, opts));
+    driver::CampaignReport back;
+    std::string err;
+    ASSERT_TRUE(driver::fromJson(doc, back, &err)) << err;
+
+    // @p obj with member @p key dropped, or set to a string.
+    auto edit = [](const json::Value &obj, const std::string &key,
+                   bool drop) {
+        json::Value out = json::Value::object();
+        for (const auto &[k, v] : obj.members()) {
+            if (k != key)
+                out.set(k, v);
+            else if (!drop)
+                out.set(k, "junk");
+        }
+        return out;
+    };
+    auto refuses = [&](const json::Value &bad, const std::string &key) {
+        err.clear();
+        EXPECT_FALSE(driver::fromJson(bad, back, &err)) << key;
+        EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
+    };
+    const json::Value &job = doc.at("jobs").at(size_t{0});
+    const json::Value &result = job.at("result");
+    ASSERT_EQ(result.size(), 39u);
+    for (const auto &[key, v] : result.members()) {
+        for (bool drop : {true, false}) {
+            json::Value row = job, bad = doc;
+            row.set("result", edit(result, key, drop));
+            refuses(bad.set("jobs", json::Value::array().push(row)), key);
+        }
+    }
+    const json::Value &summary = doc.at("summary");
+    ASSERT_EQ(summary.size(), 11u);
+    for (const auto &[key, v] : summary.members()) {
+        for (bool drop : {true, false}) {
+            json::Value bad = doc;
+            refuses(bad.set("summary", edit(summary, key, drop)), key);
+        }
+    }
+
+    // A cache file whose row lacks its cycles and uops is refused
+    // outright (the CLI's --cache exits 2 on it), not replayed as a
+    // zero-cycle result.
+    json::Value row = job, bad = doc;
+    row.set("result", edit(edit(result, "cycles", true), "uops", true));
+    bad.set("jobs", json::Value::array().push(row));
+    std::string path = testing::TempDir() + "/chex_report_no_cycles.json";
+    {
+        std::ofstream out(path);
+        bad.write(out, 2);
+    }
+    EXPECT_FALSE(driver::loadReportFile(path, back, &err));
+    EXPECT_NE(err.find("'cycles'"), std::string::npos) << err;
+    std::remove(path.c_str());
 }
 
 TEST(Report, UnknownFailureCauseFallsBackWithWarning)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "base/json.hh"
+#include "base/logging.hh"
 
 using namespace chex;
 
@@ -369,22 +370,149 @@ TEST(Json, Uint64MaxRoundTrips)
     EXPECT_EQ(back.dump(), text);
 }
 
-TEST(Json, ObjectGetterHelpersApplyDefaults)
+TEST(Json, RequireReadsIntegersExactly)
 {
     json::Value v;
-    std::string err;
     ASSERT_TRUE(json::Value::parse(
-        "{\"b\": true, \"u\": 9, \"d\": 1.5, \"s\": \"x\"}", v, &err))
-        << err;
-    EXPECT_TRUE(json::getBool(v, "b", false));
-    EXPECT_EQ(json::getUint(v, "u", 0), 9u);
-    EXPECT_EQ(json::getDouble(v, "d", 0.0), 1.5);
-    EXPECT_EQ(json::getString(v, "s", ""), "x");
-    // Absent or wrong-kind members fall back to the default.
-    EXPECT_TRUE(json::getBool(v, "missing", true));
-    EXPECT_EQ(json::getUint(v, "s", 5), 5u);
-    EXPECT_EQ(json::getString(v, "u", "dflt"), "dflt");
-    EXPECT_EQ(json::getUint(json::Value(3.0), "u", 2), 2u);
+        R"({"u": 5, "neg": -1, "big": 1e30, "frac": 2.5, "i": -7,
+            "max": 18446744073709551615, "wide": 2147483648,
+            "s": "x", "n": null})",
+        v, nullptr));
+    uint64_t u = 0;
+    unsigned w = 0;
+    int i = 0;
+    double d = 0;
+    std::string err;
+    EXPECT_TRUE(json::require(v, "u", u, &err) && u == 5u) << err;
+    EXPECT_TRUE(json::require(v, "max", u, &err) && u == UINT64_MAX);
+    EXPECT_TRUE(json::require(v, "i", i, &err) && i == -7) << err;
+    // Negative, fractional, exponent-form and too-wide numbers are
+    // refused by name instead of being cast.
+    for (const char *key : {"neg", "big", "frac", "s"}) {
+        EXPECT_FALSE(json::require(v, key, u, &err)) << key;
+        EXPECT_EQ(err, csprintf("member '%s' is not an unsigned integer",
+                                key));
+    }
+    EXPECT_FALSE(json::require(v, "max", w, &err));
+    EXPECT_EQ(err, "member 'max' is out of range");
+    EXPECT_FALSE(json::require(v, "frac", i, &err));
+    EXPECT_EQ(err, "member 'frac' is not an integer");
+    for (const char *key : {"big", "wide", "max"}) {
+        EXPECT_FALSE(json::require(v, key, i, &err)) << key;
+        EXPECT_EQ(err, csprintf("member '%s' is out of range", key));
+    }
+    EXPECT_TRUE(json::require(v, "u", d, &err) && d == 5.0);
+    EXPECT_TRUE(json::require(v, "n", d, &err) && std::isnan(d));
+    EXPECT_FALSE(json::require(v, "zz", u, &err));
+    EXPECT_EQ(err, "member 'zz' is missing");
+    EXPECT_FALSE(json::require(json::Value(3.0), "u", u, &err));
+    EXPECT_EQ(err, "value is not an object");
+}
+
+/** A record exercising the binder's codecs and adapters. */
+struct BoundRecord
+{
+    struct Slot
+    {
+        uint64_t tag = 0;
+        bool valid = false;
+    };
+    uint64_t count = 0;
+    int8_t delta = 0;
+    std::string name;
+    uint64_t regs[2] = {};
+    std::vector<std::pair<uint64_t, uint32_t>> pairs;
+    std::vector<uint8_t> image = std::vector<uint8_t>(4);
+    std::vector<Slot> slots = std::vector<Slot>(3);
+    unsigned geometry = 3;
+
+    template <class Self, class F>
+    static void
+    fields(Self &self, F &f)
+    {
+        f("count", self.count);
+        f("inner", json::Group{self, [](auto &s, auto &g) {
+                  g("delta", s.delta);
+                  g("name", s.name);
+              }});
+        f("regs", self.regs);
+        f("pairs", self.pairs);
+        f("image", json::Base64{self.image});
+        f("slots", json::Slots{self.slots, [](auto &e, auto &g) {
+                  g("tag", e.tag);
+              }});
+        f("geometry", json::Match{self.geometry});
+    }
+};
+
+TEST(Json, BinderRoundTripsAndNamesPaths)
+{
+    BoundRecord rec;
+    rec.count = 7;
+    rec.delta = -2;
+    rec.name = "n";
+    rec.regs[1] = 9;
+    rec.pairs = {{1, 2}, {3, 4}};
+    rec.image[0] = 0xff;
+    rec.slots[1] = {5, true};
+    const std::string text = json::write(rec).dump();
+    EXPECT_EQ(text, R"({"count":7,"inner":{"delta":-2,"name":"n"},)"
+                    R"("regs":[0,9],"pairs":[[1,2],[3,4]],)"
+                    R"("image":"/wAAAA==","slots":[{"slot":1,"tag":5}],)"
+                    R"("geometry":3})");
+
+    json::Value doc;
+    ASSERT_TRUE(json::Value::parse(text, doc, nullptr));
+    BoundRecord back;
+    std::string err;
+    ASSERT_TRUE(json::read(doc, back, &err)) << err;
+    EXPECT_EQ(json::write(back).dump(), text);
+
+    // Each refusal names the member and where it sits.
+    auto refuses = [&](const char *edited, const std::string &want) {
+        json::Value bad;
+        ASSERT_TRUE(json::Value::parse(edited, bad, nullptr)) << edited;
+        BoundRecord out;
+        EXPECT_FALSE(json::read(bad, out, &err)) << edited;
+        EXPECT_EQ(err, want);
+    };
+    refuses(R"({"inner": {}})", "member 'count' is missing");
+    refuses(R"({"count": 1, "inner": {"delta": -200}})",
+            "member 'delta' is out of range at inner.delta");
+    refuses(R"({"count": 1, "inner": {"delta": 0, "name": ""},
+                "regs": [1]})",
+            "member 'regs' has 1 items, want 2");
+}
+
+TEST(Json, BinderRefusesBadItemsByPath)
+{
+    const std::string good = json::write(BoundRecord{}).dump();
+    auto with = [&](const std::string &key, const std::string &value) {
+        json::Value doc, v;
+        EXPECT_TRUE(json::Value::parse(good, doc, nullptr));
+        EXPECT_TRUE(json::Value::parse(value, v, nullptr)) << value;
+        doc.set(key, v);
+        BoundRecord out;
+        std::string err;
+        EXPECT_FALSE(json::read(doc, out, &err)) << key << value;
+        return err;
+    };
+    EXPECT_EQ(with("regs", "[1, -1]"),
+              "item regs[1] is not an unsigned integer");
+    EXPECT_EQ(with("pairs", "[[1, 2], [3, 4294967296]]"),
+              "item pairs[1][1] is out of range");
+    EXPECT_EQ(with("pairs", "[[1, 2, 3]]"),
+              "item pairs[0] has 3 items, want 2");
+    EXPECT_EQ(with("image", "\"AAAA\""),
+              "member 'image' is not base64 of 4 bytes");
+    EXPECT_EQ(with("slots", "[{\"slot\": 3, \"tag\": 1}]"),
+              "member 'slot' is out of range at slots[0].slot");
+    EXPECT_EQ(with("slots", "[{\"slot\": 0, \"tag\": 1}, "
+                            "{\"slot\": 0, \"tag\": 2}]"),
+              "item slots[1] repeats a slot");
+    EXPECT_EQ(with("slots", "[{\"slot\": 0}]"),
+              "member 'tag' is missing at slots[0].tag");
+    EXPECT_EQ(with("geometry", "4"), "member 'geometry' is 4, want 3");
 }
 
 TEST(Json, ParserRejectsMalformed)

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sim/system.hh"
 #include "snapshot/codec.hh"
@@ -436,7 +437,7 @@ TEST(Snapshot, MalformedRunStateRejectedByName)
     for (const char *key : {"kind", "genPid", "freePid"}) {
         json::Value m = machine;
         json::Value item = pend;
-        std::string name = std::string("pending.") + key;
+        std::string name = std::string("pending[0].") + key;
         rejects(m.set("pending", json::Value::array().push(
                                      without(pend, key))),
                 name);
@@ -453,7 +454,7 @@ TEST(Snapshot, MalformedRunStateRejectedByName)
         json::Value m = machine;
         json::Value r = machine.at("result");
         json::Value item = viol;
-        std::string name = std::string("violations.") + key;
+        std::string name = std::string("violations[0].") + key;
         rejects(m.set("result",
                       r.set("violations", json::Value::array().push(
                                               without(viol, key)))),
@@ -467,5 +468,127 @@ TEST(Snapshot, MalformedRunStateRejectedByName)
     // The untouched state still restores.
     System sys(cfg);
     sys.load(generateWorkload(p, TestSeed));
+    EXPECT_TRUE(sys.restoreSnapshot(entry.state, &err)) << err;
+}
+
+namespace
+{
+
+/**
+ * One step into a document: an object member by key, or (an empty
+ * key) the first item of an array.
+ */
+using Step = std::string;
+
+/** The path as restore errors print it: "core.bpred.tagged[0].tag". */
+std::string
+pathText(const std::vector<Step> &path)
+{
+    std::string out;
+    for (const Step &key : path)
+        out += key.empty() ? "[0]" : (out.empty() ? "" : ".") + key;
+    return out;
+}
+
+/**
+ * @p v with the value at @p path (from step @p depth on) dropped, or
+ * replaced by @p with when non-null.
+ */
+json::Value
+edited(const json::Value &v, const std::vector<Step> &path, size_t depth,
+       const json::Value *with)
+{
+    const Step &key = path[depth];
+    bool last = depth + 1 == path.size();
+    if (v.isArray()) {
+        json::Value out = json::Value::array();
+        for (size_t i = 0; i < v.size(); ++i) {
+            if (i != 0)
+                out.push(v.at(i));
+            else if (!last)
+                out.push(edited(v.at(i), path, depth + 1, with));
+            else if (with)
+                out.push(*with);
+        }
+        return out;
+    }
+    json::Value out = json::Value::object();
+    for (const auto &[k, m] : v.members()) {
+        if (k != key)
+            out.set(k, m);
+        else if (!last)
+            out.set(k, edited(m, path, depth + 1, with));
+        else if (with)
+            out.set(k, *with);
+    }
+    return out;
+}
+
+/**
+ * Every object member at every depth, and the first item of every
+ * array, under @p v (descending through those first items).
+ */
+void
+collectPaths(const json::Value &v, std::vector<Step> &path,
+             std::vector<std::vector<Step>> &members,
+             std::vector<std::vector<Step>> &items)
+{
+    if (v.isObject()) {
+        for (const auto &[key, m] : v.members()) {
+            path.push_back(key);
+            members.push_back(path);
+            collectPaths(m, path, members, items);
+            path.pop_back();
+        }
+    } else if (v.isArray() && v.size() > 0) {
+        path.push_back("");
+        items.push_back(path);
+        collectPaths(v.at(size_t{0}), path, members, items);
+        path.pop_back();
+    }
+}
+
+} // anonymous namespace
+
+TEST(Snapshot, RestoreRefusesEveryDroppedOrMistypedMember)
+{
+    // Prediction-driven CHEx86 with initialization tracking, so the
+    // warm state fills the tracker, alias, capability and
+    // init-shadow sections as well as the core and memory ones.
+    BenchmarkProfile p = testProfile();
+    SystemConfig cfg = configFor(VariantKind::MicrocodePrediction);
+    cfg.detectUninitializedReads = true;
+    snapshot::MachineEntry entry;
+    std::string err;
+    ASSERT_TRUE(
+        snapshot::buildEntry(p, cfg, TestSeed, Warmup, 1, &entry, &err))
+        << err;
+    const json::Value &machine = entry.state.at("machine");
+
+    std::vector<Step> path;
+    std::vector<std::vector<Step>> members, items;
+    collectPaths(machine, path, members, items);
+    ASSERT_GT(members.size(), 200u);
+
+    System sys(cfg);
+    sys.load(generateWorkload(p, TestSeed));
+    const json::Value junk("not-a-value");
+    auto refuses = [&](const std::vector<Step> &at, const json::Value *with) {
+        json::Value state = entry.state;
+        state.set("machine", edited(machine, at, 0, with));
+        err.clear();
+        std::string name = pathText(at);
+        EXPECT_FALSE(sys.restoreSnapshot(state, &err))
+            << name << (with ? " mistyped" : " dropped");
+        EXPECT_NE(err.find(name), std::string::npos) << err;
+    };
+    for (const auto &at : members) {
+        refuses(at, nullptr);
+        refuses(at, &junk);
+    }
+    for (const auto &at : items)
+        refuses(at, &junk);
+
+    // The untouched state still restores.
     EXPECT_TRUE(sys.restoreSnapshot(entry.state, &err)) << err;
 }

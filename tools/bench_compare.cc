@@ -65,7 +65,7 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "bench-compare: %s: deterministic fields match "
                  "(%zu wall-clock warning(s))\n",
-                 chex::json::getString(base_doc, "schema", "").c_str(),
+                 base_doc.at("schema").str().c_str(),
                  diff.warnings.size());
     return 0;
 }

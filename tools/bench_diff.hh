@@ -102,9 +102,13 @@ inline RecordDiff
 diffRecords(const json::Value &base, const json::Value &fresh)
 {
     RecordDiff out;
-    std::string b = json::getString(base, "schema", "");
-    std::string n = json::getString(fresh, "schema", "");
-    if (b.empty() || b != n)
+    std::string b, n, err;
+    if (!json::require(base, "schema", b, &err) ||
+        !json::require(fresh, "schema", n, &err))
+        out.fatal.push_back(err == "value is not an object"
+                                ? "record is not an object"
+                                : "record: " + err);
+    else if (b.empty() || b != n)
         out.fatal.push_back("schema: '" + b + "' -> '" + n + "'");
     else
         diffValue("", base, fresh, out);

@@ -72,6 +72,7 @@
 
 #include "attacks/generator.hh"
 #include "attacks/registry.hh"
+#include "base/fnv.hh"
 #include "base/logging.hh"
 #include "driver/campaign.hh"
 #include "driver/env.hh"
@@ -581,7 +582,7 @@ loadSnapshot(const std::string &ctx, const std::string &path,
     snapshot::Bundle bundle;
     std::string err;
     if (!snapshot::loadBundleFile(path, &bundle, &err)) {
-        std::fprintf(stderr, "%s: snapshot %s\n", ctx.c_str(),
+        std::fprintf(stderr, "%s: %s\n", ctx.c_str(),
                      err.c_str());
         return false;
     }
@@ -1011,7 +1012,7 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
                         i + 1, specs.size(), spec.label.c_str(),
                         static_cast<unsigned long long>(
                             entry.warmupMacros),
-                        snapshot::stateHashHex(entry.stateHash)
+                        hashHex(entry.stateHash)
                             .c_str());
             std::fflush(stdout);
         }
