@@ -1,23 +1,25 @@
 /**
  * @file
- * Tagged FNV-1a 64 over a canonical byte stream, shared by every
- * content hash in the tree: the campaign spec hash (driver), the
- * standalone SystemConfig hash and the Program hash that pin a
- * snapshot to its machine (sim/isa), and the snapshot bundle's
- * per-entry state digest.
+ * The content hashes in the tree. TaggedHasher is a tagged FNV-1a
+ * 64 over a canonical byte stream, shared by the campaign spec hash
+ * (driver) and the standalone SystemConfig hash and Program hash
+ * that pin a snapshot to its machine (sim/isa). WordHasher takes
+ * 8-byte words instead, for the snapshot bundle's per-entry state
+ * digest, which covers the whole machine state.
  *
- * Every field goes in as its tag (including the terminating NUL, so
- * "ab"+"c" cannot collide with "a"+"bc") followed by the value as 8
- * little-endian bytes; doubles contribute their IEEE-754 bit
- * pattern. The encoding is therefore independent of host endianness
- * and struct layout. This class started life as the driver's
- * SpecHasher; the byte stream is unchanged, so spec hashes recorded
- * by old campaign reports stay valid cache keys.
+ * TaggedHasher takes every field as its tag (including the
+ * terminating NUL, so "ab"+"c" cannot collide with "a"+"bc")
+ * followed by the value as 8 little-endian bytes; doubles contribute
+ * their IEEE-754 bit pattern. The encoding is therefore independent
+ * of host endianness and struct layout. It started life as the
+ * driver's SpecHasher; the byte stream is unchanged, so spec hashes
+ * recorded by old campaign reports stay valid cache keys.
  */
 
 #ifndef CHEX_BASE_FNV_HH
 #define CHEX_BASE_FNV_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -82,6 +84,65 @@ class TaggedHasher
 
   private:
     uint64_t _hash = 0xcbf29ce484222325ull; // FNV-1a 64 offset basis
+};
+
+/**
+ * A word-at-a-time digest. Each 64-bit word w updates the state as
+ * h = mix(h ^ w), where mix (a multiply and an xor-shift) is a
+ * bijection, so two streams of equal length that differ in one
+ * word always digest differently. Bytes go in as 8-byte
+ * little-endian words, the last one zero-padded, whatever the host
+ * byte order; callers put a length in first when the byte count is
+ * not implied, so padding cannot collide.
+ */
+class WordHasher
+{
+  public:
+    void word(uint64_t w) { _hash = mix(_hash ^ w); }
+
+    void
+    bytes(const void *data, size_t n)
+    {
+        const unsigned char *p = static_cast<const unsigned char *>(data);
+        for (; n >= 8; p += 8, n -= 8)
+            word(loadLE(p, 8));
+        if (n)
+            word(loadLE(p, n));
+    }
+
+    /** Never 0 — 0 stays the "unset" sentinel, as for TaggedHasher. */
+    uint64_t
+    digest() const
+    {
+        // A last round so the final word reaches every output bit.
+        uint64_t h = mix(mix(_hash));
+        return h ? h : 1;
+    }
+
+  private:
+    static uint64_t
+    mix(uint64_t x)
+    {
+        x *= 0x9e3779b97f4a7c15ull; // odd: 2^64 / golden ratio
+        return x ^ (x >> 32);
+    }
+
+    /** The @p n <= 8 bytes at @p p as a little-endian word. */
+    static uint64_t
+    loadLE(const unsigned char *p, size_t n)
+    {
+        uint64_t w = 0;
+        std::memcpy(&w, p, n);
+        if constexpr (std::endian::native == std::endian::big) {
+            uint64_t le = 0;
+            for (size_t i = 0; i < 8; ++i)
+                le |= ((w >> (56 - 8 * i)) & 0xff) << (8 * i);
+            w = le;
+        }
+        return w;
+    }
+
+    uint64_t _hash = 0xcbf29ce484222325ull;
 };
 
 /** A digest as 16 lower-case hex digits, the form documents carry. */

@@ -24,30 +24,63 @@ const Value::Object kEmptyObject;
 
 } // namespace
 
-Value::Value(std::string s) : Value(Kind::String)
+namespace
 {
-    if (!s.empty())
-        _u.str = new std::string(std::move(s));
+
+/** Take one more share of @p p. */
+template <class T>
+void
+share(Shared<T> *p) noexcept
+{
+    if (p)
+        p->refs.fetch_add(1, std::memory_order_relaxed);
 }
 
-Value::Value(const Value &other)
+/** Let go of one share of @p p, freeing it with the last. */
+template <class T>
+void
+drop(Shared<T> *p) noexcept
+{
+    // A count of 1 is this Value's alone: no other can raise it.
+    if (p && (p->refs.load(std::memory_order_acquire) == 1 ||
+              p->refs.fetch_sub(1, std::memory_order_acq_rel) == 1))
+        delete p;
+}
+
+/** @p p's payload, allocated when null and copied when shared. */
+template <class T>
+T &
+unshare(Shared<T> *&p)
+{
+    if (!p) {
+        p = new Shared<T>;
+    } else if (p->refs.load(std::memory_order_acquire) != 1) {
+        auto *own = new Shared<T>;
+        own->data = p->data;
+        drop(p);
+        p = own;
+    }
+    return p->data;
+}
+
+} // namespace
+
+Value::Value(std::string s) : Value(Kind::String)
+{
+    if (!s.empty()) {
+        _u.str = new Shared<std::string>;
+        _u.str->data = std::move(s);
+    }
+}
+
+Value::Value(const Value &other) noexcept
     : _kind(other._kind), _exactUint(other._exactUint), _u(other._u)
 {
     switch (_kind) {
-      case Kind::String:
-        if (_u.str)
-            _u.str = new std::string(*_u.str);
-        break;
-      case Kind::Array:
-        if (_u.arr)
-            _u.arr = new Array(*_u.arr);
-        break;
-      case Kind::Object:
-        if (_u.obj)
-            _u.obj = new Object(*_u.obj);
-        break;
-      default:
-        break;
+      case Kind::String: share(_u.str); break;
+      case Kind::Array: share(_u.arr); break;
+      case Kind::Object: share(_u.obj); break;
+      default: break;
     }
 }
 
@@ -55,9 +88,9 @@ void
 Value::release() noexcept
 {
     switch (_kind) {
-      case Kind::String: delete _u.str; break;
-      case Kind::Array: delete _u.arr; break;
-      case Kind::Object: delete _u.obj; break;
+      case Kind::String: drop(_u.str); break;
+      case Kind::Array: drop(_u.arr); break;
+      case Kind::Object: drop(_u.obj); break;
       default: break;
     }
 }
@@ -65,17 +98,13 @@ Value::release() noexcept
 Value::Array &
 Value::arrayPayload()
 {
-    if (!_u.arr)
-        _u.arr = new Array;
-    return *_u.arr;
+    return unshare(_u.arr);
 }
 
 Value::Object &
 Value::objectPayload()
 {
-    if (!_u.obj)
-        _u.obj = new Object;
-    return *_u.obj;
+    return unshare(_u.obj);
 }
 
 bool
@@ -103,19 +132,19 @@ const std::string &
 Value::str() const
 {
     chex_assert(_kind == Kind::String, "json: not a string");
-    return _u.str ? *_u.str : kEmptyString;
+    return _u.str ? _u.str->data : kEmptyString;
 }
 
 const Value::Array &
 Value::items() const
 {
-    return _kind == Kind::Array && _u.arr ? *_u.arr : kEmptyArray;
+    return _kind == Kind::Array && _u.arr ? _u.arr->data : kEmptyArray;
 }
 
 const Value::Object &
 Value::members() const
 {
-    return _kind == Kind::Object && _u.obj ? *_u.obj : kEmptyObject;
+    return _kind == Kind::Object && _u.obj ? _u.obj->data : kEmptyObject;
 }
 
 Value &
@@ -168,7 +197,7 @@ Value::at(size_t index) const
 {
     chex_assert(_kind == Kind::Array, "json: at() on non-array");
     chex_assert(index < size(), "json: array index out of range");
-    return (*_u.arr)[index];
+    return items()[index];
 }
 
 size_t
@@ -235,25 +264,23 @@ appendEscaped(std::string &out, const std::string &s)
 }
 
 /**
- * Append @p d as the printf "%.0f" (integral, below 2^53) or "%.17g"
+ * Write @p d as the printf "%.0f" (integral, below 2^53) or "%.17g"
  * form; std::to_chars with an explicit format and precision is
  * specified to match printf in the C locale.
  */
-void
-appendNumber(std::string &out, double d)
+char *
+doubleText(char *buf, double d)
 {
     if (!std::isfinite(d)) {
-        out += "null"; // JSON has no NaN/Inf
-        return;
+        std::memcpy(buf, "null", 4); // JSON has no NaN/Inf
+        return buf + 4;
     }
-    char buf[40];
-    std::to_chars_result r =
-        d == std::floor(d) && std::fabs(d) < kExactIntLimit
-            ? std::to_chars(buf, buf + sizeof(buf), d,
-                            std::chars_format::fixed, 0)
-            : std::to_chars(buf, buf + sizeof(buf), d,
-                            std::chars_format::general, 17);
-    out.append(buf, r.ptr);
+    char *end = buf + Value::kNumberTextMax;
+    return (d == std::floor(d) && std::fabs(d) < kExactIntLimit
+                ? std::to_chars(buf, end, d, std::chars_format::fixed, 0)
+                : std::to_chars(buf, end, d, std::chars_format::general,
+                                17))
+        .ptr;
 }
 
 void
@@ -275,15 +302,11 @@ Value::writeTo(std::string &out, unsigned indent, unsigned depth) const
       case Kind::Bool:
         out += _u.boolean ? "true" : "false";
         break;
-      case Kind::Number:
-        if (_exactUint) {
-            char buf[24];
-            out.append(buf,
-                       std::to_chars(buf, buf + sizeof(buf), _u.uint).ptr);
-        } else {
-            appendNumber(out, _u.num);
-        }
+      case Kind::Number: {
+        char buf[kNumberTextMax];
+        out.append(buf, numberText(buf));
         break;
+      }
       case Kind::String:
         appendEscaped(out, str());
         break;
@@ -328,6 +351,14 @@ Value::writeTo(std::string &out, unsigned indent, unsigned depth) const
         break;
       }
     }
+}
+
+char *
+Value::numberText(char *buf) const
+{
+    chex_assert(_kind == Kind::Number, "json: not a number");
+    return _exactUint ? std::to_chars(buf, buf + kNumberTextMax, _u.uint).ptr
+                      : doubleText(buf, _u.num);
 }
 
 void

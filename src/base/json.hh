@@ -15,10 +15,19 @@
  *
  * Node layout: a Value is 16 bytes, a kind byte and an exact-uint
  * flag beside one 8-byte union of {bool, double, exact uint64,
- * owning pointer to a std::string, array or object payload}. A null
+ * pointer to a std::string, array or object payload}. A null
  * payload pointer is the empty string, array or object, so empty
  * aggregates cost no allocation; items() and members() return a
  * shared empty container for every other kind.
+ *
+ * Shared payloads: a payload carries an atomic reference count, and
+ * copying a Value shares it, so a copy costs O(1) whatever the size
+ * of the tree beneath. The first write through push() or set() to
+ * a shared payload detaches one level: the writer gets its own copy
+ * of that array or object, whose items share their payloads in
+ * turn. Strings are never written in place. Values that share a
+ * payload may be copied, read, written and destroyed from different
+ * threads at once; one Value is not safe to write from two.
  *
  * Writer: dump() appends every token to one std::string (numbers
  * through std::to_chars, strings escaped a run at a time) and
@@ -64,6 +73,7 @@
 #ifndef CHEX_BASE_JSON_HH
 #define CHEX_BASE_JSON_HH
 
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <deque>
@@ -88,6 +98,14 @@ constexpr unsigned kMaxDepth = 512;
 
 class Parser;
 class Writer;
+
+/** A heap payload and the count of Values that share it. */
+template <class T>
+struct Shared
+{
+    std::atomic<size_t> refs{1};
+    T data;
+};
 
 /** One JSON value (null, bool, number, string, array, or object). */
 class Value
@@ -134,7 +152,8 @@ class Value
     Value(const char *s) : Value(std::string(s)) {}
     Value(std::string s);
 
-    Value(const Value &other);
+    /** Shares @p other's payload (see "Shared payloads" above). */
+    Value(const Value &other) noexcept;
     Value(Value &&other) noexcept
         : _kind(other._kind), _exactUint(other._exactUint), _u(other._u)
     {
@@ -233,6 +252,17 @@ class Value
     /** The write() text as a string. */
     std::string dump(unsigned indent = 0) const;
 
+    /** Room numberText() needs. */
+    static constexpr size_t kNumberTextMax = 32;
+    /**
+     * The token write() prints for this number into @p buf, which
+     * holds kNumberTextMax bytes: the exact uint, an integral double
+     * below 2^53 without a decimal point, another finite double in
+     * "%.17g" form, or "null" for a NaN or infinity. Returns the
+     * end of the token.
+     */
+    char *numberText(char *buf) const;
+
     /**
      * Strict RFC-8259 parse of @p text (whole input; trailing
      * garbage is an error; see the file comment for the grammar).
@@ -248,8 +278,11 @@ class Value
 
     explicit Value(Kind kind) noexcept : _kind(kind) { _u.uint = 0; }
     void release() noexcept;
+    /** @{ The payload to write: allocated when null, detached from
+     * the other Values when shared. */
     Array &arrayPayload();
     Object &objectPayload();
+    /** @} */
     void writeTo(std::string &out, unsigned indent,
                  unsigned depth) const;
 
@@ -260,9 +293,9 @@ class Value
         bool boolean;
         double num;
         uint64_t uint;
-        std::string *str; // String; nullptr is ""
-        Array *arr;       // Array; nullptr is []
-        Object *obj;      // Object; nullptr is {}
+        Shared<std::string> *str; // String; nullptr is ""
+        Shared<Array> *arr;       // Array; nullptr is []
+        Shared<Object> *obj;      // Object; nullptr is {}
     } _u;
 };
 

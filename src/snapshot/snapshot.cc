@@ -122,7 +122,7 @@ fromJson(const json::Value &v, Bundle *out, std::string *err)
         return fail("snapshot bundle: " + why);
     for (size_t i = 0; i < b.entries.size(); ++i) {
         const MachineEntry &e = b.entries[i];
-        // Verify the recorded state digest against the bytes just
+        // Verify the recorded state digest against the state just
         // parsed: bundles are large files that get copied between
         // machines, and a silently truncated or edited state must
         // not restore into a subtly different simulation.

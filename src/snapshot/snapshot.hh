@@ -19,8 +19,11 @@
  * the same SystemConfig and loaded with the same regenerated program
  * (the snapshot pins both by content hash) and running to completion
  * yields bit-identical results to the uninterrupted run. The
- * per-entry `stateHash` additionally pins the serialized state
- * bytes, so a corrupted or hand-edited bundle is rejected at load.
+ * per-entry `stateHash` (jsonStateHash, snapshot/codec.hh)
+ * additionally pins the saved state, so a corrupted or hand-edited
+ * bundle is rejected at load. A v2 bundle differs from a v1 bundle
+ * only in that digest's definition; a v1 bundle is refused at its
+ * `format` member.
  */
 
 #ifndef CHEX_SNAPSHOT_SNAPSHOT_HH
@@ -41,7 +44,7 @@ namespace snapshot
 
 /** Bundle-file schema tag (the machine states inside carry their
  * own `chex-snapshot-v1` format tag). */
-constexpr const char *BundleFormatTag = "chex-snapshot-bundle-v1";
+constexpr const char *BundleFormatTag = "chex-snapshot-bundle-v2";
 
 /** One warmed machine state: a System paused mid-run. */
 struct MachineEntry
@@ -92,7 +95,7 @@ bool restoreEntry(const MachineEntry &entry,
 
 /** @{ @name Bundle (de)serialization
  * fromJson verifies the bundle format tag and every entry's
- * stateHash against its serialized state, so a truncated or edited
+ * stateHash against its parsed state, so a truncated or edited
  * bundle fails loudly instead of restoring subtly wrong state. */
 json::Value toJson(const Bundle &bundle);
 bool fromJson(const json::Value &v, Bundle *out,

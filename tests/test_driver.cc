@@ -13,11 +13,13 @@
  * campaigns (bit-identity vs from-scratch, folded spec hashes
  * keeping cache modes apart), record/replay of report rows
  * (reproduced failure causes, refusal of unreconstructible rows),
- * and the bench env-knob validation.
+ * the bench env-knob validation, and the campaign CLI leaving a
+ * previous report intact when it refuses an input.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -1716,6 +1718,49 @@ TEST(Replay, RefusesUnreconstructibleRows)
     EXPECT_FALSE(driver::planReplay(shard, 1, SystemConfig{}, 50,
                                     nullptr, &plan, &err));
     EXPECT_NE(err.find("shard"), std::string::npos) << err;
+}
+
+/** The whole of file @p path. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(Cli, RefusedInputLeavesPreviousReportIntact)
+{
+    // `run` and `attack` check their inputs before opening (and so
+    // truncating) --out and --security-out: a refused cache or
+    // bundle exits 2 and leaves last run's report as it was.
+    const std::string dir = testing::TempDir();
+    const std::string bad = dir + "/chex_cli_empty.json";
+    const std::string out = dir + "/chex_cli_prior_report.json";
+    const std::string sec = dir + "/chex_cli_prior_security.json";
+    const std::string prior = "{\"prior\": \"report\"}\n";
+    std::ofstream(bad) << "{}";
+    const std::string bin = CHEX_CAMPAIGN_BIN;
+    for (const std::string &args :
+         {"run --profiles mcf --variants baseline --scale 50 --cache " +
+              bad + " --out " + out,
+          "run --profiles mcf --variants baseline --scale 50 "
+          "--from-snapshot " + bad + " --out " + out,
+          "attack --seeds 1 --cache " + bad + " --out " + out +
+              " --security-out " + sec}) {
+        SCOPED_TRACE(args);
+        std::ofstream(out) << prior;
+        std::ofstream(sec) << prior;
+        int rc = std::system(
+            ("'" + bin + "' " + args + " > /dev/null 2>&1").c_str());
+        ASSERT_TRUE(WIFEXITED(rc));
+        EXPECT_EQ(WEXITSTATUS(rc), 2);
+        EXPECT_EQ(fileBytes(out), prior);
+        EXPECT_EQ(fileBytes(sec), prior);
+    }
+    for (const std::string &path : {bad, out, sec})
+        std::remove(path.c_str());
 }
 
 } // namespace

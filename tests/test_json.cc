@@ -18,6 +18,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/json.hh"
@@ -667,6 +668,81 @@ TEST(Json, ParserRejectsRawControlBytesAndBadEscapes)
     expectRejected("[nul]", "json: bad literal at byte 1");
     expectRejected("", "json: unexpected end of input at byte 0");
     expectRejected("[1] x", "json: trailing garbage at byte 4");
+}
+
+TEST(Json, CopiesShareAndWritesDetach)
+{
+    const json::Value orig =
+        json::Value::object()
+            .set("list", json::Value::array().push("x").push(
+                             json::Value::object().set("k", 1)))
+            .set("name", "n");
+    const std::string before = orig.dump();
+
+    // A copy shares the payload instead of copying it.
+    json::Value a = orig;
+    EXPECT_EQ(&a.members(), &orig.members());
+
+    // set and push on the copy leave the original as it was; the
+    // write detaches one level, so untouched members stay shared.
+    a.set("name", "changed").set("extra", true);
+    EXPECT_EQ(orig.dump(), before);
+    EXPECT_NE(&a.members(), &orig.members());
+    EXPECT_EQ(&a.at("list").items(), &orig.at("list").items());
+    json::Value list = orig.at("list");
+    list.push(3);
+    EXPECT_EQ(orig.at("list").size(), 2u);
+    EXPECT_EQ(list.size(), 3u);
+
+    // A write on the first side leaves the copy as it was.
+    json::Value b = orig;
+    json::Value c = b;
+    b.set("name", "b");
+    EXPECT_EQ(c.dump(), before);
+    EXPECT_EQ(b.at("name").str(), "b");
+
+    // Nested: rebuilding a copy's inner object leaves both the
+    // original and every other copy of it unchanged.
+    json::Value d = orig;
+    json::Value inner = d.at("list").at(size_t{1});
+    inner.set("k", 2);
+    json::Value dlist = d.at("list");
+    dlist.push(inner);
+    d.set("list", dlist);
+    EXPECT_EQ(d.at("list").size(), 3u);
+    EXPECT_EQ(orig.dump(), before);
+    EXPECT_EQ(c.dump(), before);
+    EXPECT_EQ(inner.dump(), "{\"k\":2}");
+    EXPECT_EQ(orig.at("list").at(size_t{1}).dump(), "{\"k\":1}");
+
+    // Assignment shares too, and a later write detaches.
+    json::Value e = json::Value::array().push(1);
+    e = orig;
+    EXPECT_EQ(&e.members(), &orig.members());
+    e.set("name", "e");
+    EXPECT_EQ(orig.dump(), before);
+    e = e.at("list"); // a value its own shared subtree
+    EXPECT_EQ(e.dump(), "[\"x\",{\"k\":1}]");
+    EXPECT_EQ(orig.dump(), before);
+
+    // Copies of one value made, written and dropped from 4 threads
+    // at once: the count stays exact (ASan sees any early free).
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&orig, t] {
+            for (int i = 0; i < 20000; ++i) {
+                json::Value mine = orig;
+                json::Value theirs = mine;
+                if (i % 2)
+                    mine.set("name", t);
+                else
+                    theirs = mine.at("list");
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(orig.dump(), before);
 }
 
 TEST(Json, CopiesOwnTheirPayloads)

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -222,13 +225,17 @@ TEST(Snapshot, CorruptBundleRejected)
 
     json::Value doc = snapshot::toJson(bundle);
 
-    // Wrong bundle format tag.
-    {
+    // Wrong bundle format tag, and the v1 tag, whose entries carry
+    // the older state digest: refused at `format`, by name.
+    for (const char *tag :
+         {"chex-snapshot-bundle-v999", "chex-snapshot-bundle-v1"}) {
         json::Value bad = doc;
-        bad.set("format", "chex-snapshot-bundle-v999");
+        bad.set("format", tag);
         snapshot::Bundle out;
         EXPECT_FALSE(snapshot::fromJson(bad, &out, &err));
-        EXPECT_NE(err.find("format"), std::string::npos) << err;
+        EXPECT_NE(err.find("member 'format' is \"" + std::string(tag)),
+                  std::string::npos)
+            << err;
     }
 
     // Tampered state (hash mismatch): flip the saved macro count.
@@ -548,6 +555,40 @@ collectPaths(const json::Value &v, std::vector<Step> &path,
     }
 }
 
+/** The value at @p path under @p v. */
+const json::Value &
+valueAt(const json::Value &v, const std::vector<Step> &path)
+{
+    const json::Value *at = &v;
+    for (const Step &key : path)
+        at = key.empty() ? &at->at(size_t{0}) : &at->at(key);
+    return *at;
+}
+
+/** Scalar @p leaf changed to another value (of its kind but null's). */
+json::Value
+changedLeaf(const json::Value &leaf)
+{
+    if (leaf.isBool())
+        return !leaf.boolean();
+    if (leaf.isExactUint()) {
+        uint64_t u = leaf.asUint64();
+        return u == std::numeric_limits<uint64_t>::max() ? u - 1 : u + 1;
+    }
+    if (leaf.isNumber()) {
+        double d = leaf.number();
+        return std::isfinite(d) && d != 0.0 ? d * 2 : 1.0;
+    }
+    if (leaf.isString() && !leaf.str().empty()) {
+        // One byte in the middle: base64 images keep their length.
+        std::string s = leaf.str();
+        char &c = s[s.size() / 2];
+        c = c == 'A' ? 'B' : 'A';
+        return s;
+    }
+    return leaf.isString() ? json::Value("x") : json::Value(uint64_t{0});
+}
+
 } // anonymous namespace
 
 TEST(Snapshot, RestoreRefusesEveryDroppedOrMistypedMember)
@@ -591,4 +632,96 @@ TEST(Snapshot, RestoreRefusesEveryDroppedOrMistypedMember)
 
     // The untouched state still restores.
     EXPECT_TRUE(sys.restoreSnapshot(entry.state, &err)) << err;
+}
+
+TEST(Snapshot, StateHashSeesEveryLeafAndMemberOrder)
+{
+    // The same real machine document as above: changing any one
+    // scalar anywhere in it, or the order of two members, must
+    // change the digest that pins a bundle entry's state.
+    BenchmarkProfile p = testProfile();
+    SystemConfig cfg = configFor(VariantKind::MicrocodePrediction);
+    cfg.detectUninitializedReads = true;
+    snapshot::MachineEntry entry;
+    std::string err;
+    ASSERT_TRUE(
+        snapshot::buildEntry(p, cfg, TestSeed, Warmup, 1, &entry, &err))
+        << err;
+    const json::Value &doc = entry.state;
+    const uint64_t base = snapshot::jsonStateHash(doc);
+    ASSERT_EQ(base, entry.stateHash);
+
+    std::vector<Step> path;
+    std::vector<std::vector<Step>> members, items;
+    collectPaths(doc, path, members, items);
+    members.insert(members.end(), items.begin(), items.end());
+    size_t leaves = 0;
+    for (const auto &at : members) {
+        const json::Value &leaf = valueAt(doc, at);
+        if (leaf.isArray() || leaf.isObject())
+            continue;
+        const json::Value with = changedLeaf(leaf);
+        EXPECT_NE(snapshot::jsonStateHash(edited(doc, at, 0, &with)), base)
+            << pathText(at) << ": " << leaf.dump() << " -> " << with.dump();
+        ++leaves;
+    }
+    EXPECT_GT(leaves, 200u);
+
+    // The machine section's first two members swapped.
+    const json::Value::Object &m = doc.at("machine").members();
+    ASSERT_GE(m.size(), 2u);
+    json::Value swapped = json::Value::object();
+    swapped.set(m[1].first, m[1].second).set(m[0].first, m[0].second);
+    for (size_t i = 2; i < m.size(); ++i)
+        swapped.set(m[i].first, m[i].second);
+    json::Value reordered = doc;
+    reordered.set("machine", swapped);
+    EXPECT_NE(snapshot::jsonStateHash(reordered), base);
+}
+
+TEST(Snapshot, StateHashSurvivesWriteParse)
+{
+    // Each value digests the same after dump and parse, though 3.0
+    // and 2^53 + 2 read back as exact uints and NaN as null.
+    const json::Value doc =
+        json::Value::object()
+            .set("three", 3.0)
+            .set("pastExact", 9007199254740994.0) // 2^53 + 2
+            .set("huge", 1e300)
+            .set("negZero", -0.0)
+            .set("nan", std::numeric_limits<double>::quiet_NaN())
+            .set("max", std::numeric_limits<uint64_t>::max())
+            .set("str", "")
+            .set("arr", json::Value::array())
+            .set("obj", json::Value::object());
+    std::vector<json::Value> values;
+    for (const auto &[key, v] : doc.members())
+        values.push_back(v);
+    values.push_back(doc);
+    for (const json::Value &v : values) {
+        for (unsigned indent : {0u, 2u}) {
+            json::Value back;
+            ASSERT_TRUE(json::Value::parse(v.dump(indent), back));
+            EXPECT_EQ(snapshot::jsonStateHash(back),
+                      snapshot::jsonStateHash(v))
+                << v.dump();
+        }
+    }
+    json::Value back;
+    ASSERT_TRUE(json::Value::parse(doc.dump(), back));
+    EXPECT_TRUE(back.at("three").isExactUint());
+    EXPECT_TRUE(back.at("pastExact").isExactUint());
+    EXPECT_TRUE(back.at("nan").isNull());
+
+    // Values that print differently digest differently.
+    std::vector<uint64_t> hashes;
+    for (const json::Value &v :
+         {json::Value(), json::Value(false), json::Value(uint64_t{0}),
+          json::Value(-0.0), json::Value(""), json::Value("0"),
+          json::Value::array(), json::Value::object(),
+          json::Value::array().push(json::Value()),
+          json::Value::array().push(json::Value::array())})
+        hashes.push_back(snapshot::jsonStateHash(v));
+    std::sort(hashes.begin(), hashes.end());
+    EXPECT_EQ(std::unique(hashes.begin(), hashes.end()), hashes.end());
 }

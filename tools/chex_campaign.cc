@@ -298,8 +298,10 @@ parseOrExit(cli::FlagParser &parser, int argc, char **argv, int begin)
 
 /**
  * Open @p path for writing when it is set (an unset path leaves
- * @p out closed). Callers open their outputs before spending any
- * simulation time, so a bad path fails fast.
+ * @p out closed). Opening truncates, so callers open their outputs
+ * after every input (cache, bundle) has been accepted, which leaves
+ * a previous report intact when an input is refused, and before
+ * spending any simulation time, so a bad path fails fast.
  */
 bool
 openOutput(const std::string &ctx, const std::string &path,
@@ -632,13 +634,13 @@ runMain(const char *argv0, int argc, char **argv, int begin)
     if (!points.resolve(ctx, std::max<uint64_t>(reps, 1), campaign.seed,
                         &specs))
         return 2;
-    std::ofstream out;
-    if (!openOutput(ctx, campaign.outPath, out))
-        return 1;
     driver::CampaignOptions opts;
     if (!campaign.options(ctx, &opts) ||
         !loadSnapshot(ctx, snapshot_path, &opts.snapshot))
         return 2;
+    std::ofstream out;
+    if (!openOutput(ctx, campaign.outPath, out))
+        return 1;
 
     size_t in_shard = campaign.inShard(specs.size(), "jobs");
     size_t done = 0;
@@ -858,13 +860,13 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
         }
     }
 
+    driver::CampaignOptions opts;
+    if (!campaign.options(ctx, &opts))
+        return 2;
     std::ofstream out, security_out;
     if (!openOutput(ctx, campaign.outPath, out) ||
         !openOutput(ctx, security_out_path, security_out))
         return 1;
-    driver::CampaignOptions opts;
-    if (!campaign.options(ctx, &opts))
-        return 2;
 
     size_t in_shard = campaign.inShard(specs.size(), "attack jobs");
     size_t done = 0;
@@ -944,7 +946,7 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
         argv0, "snapshot",
         "Warm every (profile x variant) job point to --warmup "
         "macro-ops\nand write the paused machine states as a "
-        "snapshot bundle\n(chex-snapshot-bundle-v1). `run "
+        "snapshot bundle\n(chex-snapshot-bundle-v2). `run "
         "--from-snapshot` then fans its\njobs out from the bundle "
         "instead of re-simulating each job's\nwarm-up prefix. The "
         "bundle matches only campaigns with the\nidentical "
